@@ -8,10 +8,12 @@
 //! - [`sweep`] — the cartesian sweep plan/engine with semantic per-cell
 //!   seeding and the versioned `BENCH_planner.json` schema, byte-identical
 //!   across worker counts;
-//! - [`throughput`] — the DES kernel throughput harness comparing the
-//!   calendar-queue/arena engine against the seed baseline;
 //! - [`workloads`] — shared scenario construction for benches and
 //!   examples.
+//!
+//! Nothing here times the simulator end to end: wall time of complete
+//! reconfigurations, split per layer, is measured by the standalone
+//! `perfbench` package at the repository root.
 //!
 //! Everything the sweep writes is part of the byte-identity surface, so
 //! this crate is linted by `sb-analyze` like the sim-state crates are.
@@ -19,13 +21,9 @@
 #![forbid(unsafe_code)]
 
 pub mod sweep;
-pub mod throughput;
 pub mod workloads;
 
 pub use sweep::{
     parallel_map, Family, FamilyPlan, NetworkSpec, SweepEngine, SweepPlan, SweepReport,
-};
-pub use throughput::{
-    measure_election, measure_ring, run_ring_arena, run_ring_boxed_heap, ThroughputPoint,
 };
 pub use workloads::*;

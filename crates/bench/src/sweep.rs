@@ -27,7 +27,7 @@
 //! identical for any worker count**.  The regression test
 //! `crates/bench/tests/sweep_engine.rs` pins this property.
 //!
-//! ## JSON schema (version 7)
+//! ## JSON schema (version 8)
 //!
 //! [`SweepReport::to_json`] renders the versioned machine-readable record
 //! published by CI as `BENCH_planner.json`; the field-by-field schema is
@@ -35,10 +35,7 @@
 //! `cells` array — identity coordinates, the exact per-cell simulator
 //! seed and the outcome/counters of every run — so a regression found in
 //! a group aggregate can be bisected to one reproducible cell without
-//! re-running the plan, plus an optional host-dependent
-//! `desim_throughput` section (attached by `examples/scaling_sweep.rs`,
-//! never by [`SweepEngine::run`] itself, so worker-count byte-identity is
-//! untouched).  v5 adds the reliability axis: a `reliability` identity
+//! re-running the plan.  v5 adds the reliability axis: a `reliability` identity
 //! field on every group and cell plus the per-cell reliable-delivery
 //! counters (`retransmissions`, `duplicates_suppressed`, `delivery_acks`,
 //! `delivery_failures`).  v6 adds the connectivity-oracle observability
@@ -59,7 +56,6 @@
 //! hash only when the spec actually injects a fault or enables rounds,
 //! so every fault-free cell keeps its pre-v8 seed byte-for-byte.
 
-use crate::throughput::ThroughputPoint;
 use sb_core::election::{RoundsConfig, TieBreak};
 use sb_core::workloads;
 use sb_core::{
@@ -78,8 +74,8 @@ use std::time::Duration as WallDuration;
 ///
 /// v3 renamed the `latency` identity field to `network` when the global
 /// latency axis became the per-link [`NetworkModel`] axis; v4 added the
-/// per-cell `cells` records (identity + cell seed + outcome + counters)
-/// and the optional `desim_throughput` section; v5 added the reliability
+/// per-cell `cells` records (identity + cell seed + outcome + counters);
+/// v5 added the reliability
 /// axis (a `reliability` identity field everywhere plus the per-cell
 /// retransmission/dedup/ack/failure counters); v6 added the
 /// connectivity-oracle counters (per-cell rebuild/fallback, per-group
@@ -824,8 +820,8 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
 
 /// Applies `f` to every item index across `workers` scoped threads,
 /// preserving item order in the returned vector.  The building block of
-/// [`SweepEngine::run`], exported for benches that fan other workloads
-/// out (e.g. the DES-throughput bench's module-count axis).
+/// [`SweepEngine::run`], exported for callers that fan other workloads
+/// out.
 pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
@@ -947,12 +943,6 @@ pub struct SweepReport {
     pub groups: Vec<GroupSummary>,
     /// Raw per-cell measurements, in plan order.
     pub cells: Vec<CellMeasurement>,
-    /// Optional before/after DES throughput points, rendered into the
-    /// JSON's `desim_throughput` section when non-empty.  Always empty
-    /// straight out of [`SweepEngine::run`] (the section is wall-clock
-    /// and therefore host-dependent); `examples/scaling_sweep.rs`
-    /// attaches the measurement after the sweep.
-    pub throughput: Vec<ThroughputPoint>,
 }
 
 impl SweepReport {
@@ -972,11 +962,7 @@ impl SweepReport {
     /// Only deterministic quantities are included (counters, simulated
     /// time, rates, per-cell seeds) — never wall-clock readings — so the
     /// rendering is byte-identical for a fixed plan regardless of worker
-    /// count or host speed.  The single exception is the optional
-    /// `desim_throughput` section: it is rendered only when a caller
-    /// attached an explicit wall-clock measurement to
-    /// [`SweepReport::throughput`], and is flagged host-dependent in the
-    /// record itself.
+    /// count or host speed.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -1079,35 +1065,7 @@ impl SweepReport {
                 "\n"
             });
         }
-        if self.throughput.is_empty() {
-            out.push_str("  ]\n}\n");
-        } else {
-            out.push_str("  ],\n");
-            // Host-dependent section: wall-clock before/after rates of the
-            // DES engine, attached explicitly by the sweep example.
-            out.push_str("  \"desim_throughput_note\": \"events/s are wall-clock (host-dependent); every other field in this record is deterministic\",\n");
-            out.push_str("  \"desim_throughput\": [\n");
-            for (i, p) in self.throughput.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "    {{\"workload\": \"{}\", \"modules\": {}, \"events\": {}, \
-                     \"baseline_events_per_sec\": {:.0}, \"tuned_events_per_sec\": {:.0}, \
-                     \"speedup\": {:.2}}}",
-                    p.workload,
-                    p.modules,
-                    p.events,
-                    p.baseline_events_per_sec,
-                    p.tuned_events_per_sec,
-                    p.speedup(),
-                );
-                out.push_str(if i + 1 < self.throughput.len() {
-                    ",\n"
-                } else {
-                    "\n"
-                });
-            }
-            out.push_str("  ]\n}\n");
-        }
+        out.push_str("  ]\n}\n");
         out
     }
 }
@@ -1157,7 +1115,6 @@ impl SweepEngine {
             seeds_per_cell: seeds,
             groups,
             cells: measurements,
-            throughput: Vec::new(),
         }
     }
 }
@@ -1272,7 +1229,7 @@ mod tests {
             // (O(N) total) while epochs grow as N²/4, so the ratio only
             // becomes overwhelming at large N — the `2 + 1%`-of-epochs
             // ceiling is enforced at gate sizes by
-            // `examples/desim_throughput.rs`; here at smoke sizes a
+            // `examples/connectivity_gate.rs`; here at smoke sizes a
             // strict majority is the size-appropriate bound.
             assert!(
                 m.connectivity_incremental_updates > m.connectivity_rebuilds,

@@ -245,26 +245,6 @@ fn json_record_carries_per_cell_records() {
         plan.cells()[0].cell_seed(plan.plan_seed)
     );
     assert!(json.contains(&expected_seed), "bisectable seed recorded");
-    // The throughput section is absent unless explicitly attached — it
-    // is wall-clock and would break worker-count byte-identity.
+    // No wall-clock section: it would break worker-count byte-identity.
     assert!(!json.contains("\"desim_throughput\""));
-}
-
-/// Attaching a throughput measurement renders the host-dependent section
-/// without disturbing the deterministic remainder of the record.
-#[test]
-fn attached_throughput_measurement_is_rendered() {
-    let mut report = SweepEngine::new(1).run(&SweepPlan::smoke());
-    let deterministic = report.to_json();
-    report.throughput.push(sb_bench::ThroughputPoint {
-        workload: "ring",
-        modules: 1000,
-        events: 100_000,
-        baseline_events_per_sec: 1_000_000.0,
-        tuned_events_per_sec: 4_000_000.0,
-    });
-    let with_throughput = report.to_json();
-    assert!(with_throughput.contains("\"desim_throughput\": ["));
-    assert!(with_throughput.contains("\"speedup\": 4.00"));
-    assert!(with_throughput.starts_with(deterministic.trim_end_matches("  ]\n}\n")));
 }

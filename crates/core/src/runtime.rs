@@ -596,8 +596,7 @@ impl Actor<Envelope, SurfaceWorld> for BlockHarness {
 /// The harnesses are stored in the simulator's **monomorphic module
 /// arena** (`Simulator<_, _, BlockHarness>`): a dense `Vec<BlockHarness>`
 /// with no per-module heap indirection, so the hot dispatch loop compiles
-/// to direct calls.  Tests that need to mix module types in one
-/// simulation can use [`build_des_simulation_boxed`] instead.
+/// to direct calls.
 pub fn build_des_simulation(
     world: SurfaceWorld,
     algorithm: AlgorithmConfig,
@@ -622,21 +621,7 @@ pub fn build_des_simulation_with_faults(
     reliability: ReliabilityConfig,
     faults: Option<FaultInjection>,
 ) -> Simulator<Envelope, SurfaceWorld, BlockHarness> {
-    let order = world.grid().block_ids_sorted();
-    world.set_module_mapping(order.clone());
-    let root = world
-        .root_block()
-        .expect("Assumption 2: a Root block occupies the input cell");
-    let root_index = order
-        .iter()
-        .position(|&b| b == root)
-        .expect("the Root is in the module order");
-    let victim = faults.map(|f| {
-        (
-            f.victim_index(order.len(), root_index, sim_seed),
-            f.schedule,
-        )
-    });
+    let (harnesses, victim) = block_harnesses(&mut world, algorithm, reliability, sim_seed, faults);
     let mut sim = Simulator::new(world)
         .with_network(network)
         .with_seed(sim_seed);
@@ -650,72 +635,8 @@ pub fn build_des_simulation_with_faults(
             );
         sim = sim.with_fault_plan(plan);
     }
-    for (i, block) in order.into_iter().enumerate() {
-        let core = ElectionCore::new(block, block == root, algorithm);
-        let mut harness = BlockHarness::with_reliability(core, reliability);
-        if let Some((index, schedule)) = victim {
-            if i == index {
-                harness = harness.with_fault(schedule);
-            }
-        }
+    for harness in harnesses {
         sim.add(harness);
-    }
-    sim
-}
-
-/// The type-erased escape hatch of [`build_des_simulation`]: identical
-/// protocol behaviour, but every harness is registered behind a
-/// `Box<dyn BlockCode>` so callers can add further modules of *different*
-/// concrete types afterwards (heterogeneous tests), or measure the
-/// historical boxed-storage baseline against the arena.
-pub fn build_des_simulation_boxed(
-    mut world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    network: NetworkModel,
-    sim_seed: u64,
-    reliability: ReliabilityConfig,
-) -> Simulator<Envelope, SurfaceWorld> {
-    let order = world.grid().block_ids_sorted();
-    world.set_module_mapping(order.clone());
-    let root = world
-        .root_block()
-        .expect("Assumption 2: a Root block occupies the input cell");
-    let mut sim = Simulator::new(world)
-        .with_network(network)
-        .with_seed(sim_seed);
-    for block in order {
-        let core = ElectionCore::new(block, block == root, algorithm);
-        sim.add_module(BlockHarness::with_reliability(core, reliability));
-    }
-    sim
-}
-
-/// The full pre-PR 5 engine configuration, kept constructible so the
-/// `desim_throughput` before/after comparison measures the real seed
-/// baseline: `BinaryHeap` event queue, `Box<dyn>` module storage, and one
-/// `Start` event scheduled through the queue per module (no batched
-/// startup sweep).  Protocol behaviour is identical to
-/// [`build_des_simulation`] — only the engine costs differ.
-pub fn build_des_simulation_baseline(
-    mut world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    network: NetworkModel,
-    sim_seed: u64,
-    reliability: ReliabilityConfig,
-) -> Simulator<Envelope, SurfaceWorld> {
-    let order = world.grid().block_ids_sorted();
-    world.set_module_mapping(order.clone());
-    let root = world
-        .root_block()
-        .expect("Assumption 2: a Root block occupies the input cell");
-    let mut sim = Simulator::new(world)
-        .with_network(network)
-        .with_seed(sim_seed)
-        .with_queue_kind(sb_desim::QueueKind::BinaryHeap)
-        .with_eager_starts();
-    for block in order {
-        let core = ElectionCore::new(block, block == root, algorithm);
-        sim.add_module(BlockHarness::with_reliability(core, reliability));
     }
     sim
 }
@@ -742,6 +663,26 @@ pub fn build_actor_system_with_faults(
     sim_seed: u64,
     faults: Option<FaultInjection>,
 ) -> ActorSystem<Envelope, SurfaceWorld> {
+    let (harnesses, _) = block_harnesses(&mut world, algorithm, reliability, sim_seed, faults);
+    let mut system = ActorSystem::new(world);
+    for harness in harnesses {
+        system.add_actor(harness);
+    }
+    system
+}
+
+/// What both runtime builders derive from the world: one harness per
+/// block in module order (block ids ascending, installed as the world's
+/// module mapping), the Root resolved from the input cell, and the fault
+/// victim's module index and schedule, whose harness already carries
+/// that schedule.
+fn block_harnesses(
+    world: &mut SurfaceWorld,
+    algorithm: AlgorithmConfig,
+    reliability: ReliabilityConfig,
+    sim_seed: u64,
+    faults: Option<FaultInjection>,
+) -> (Vec<BlockHarness>, Option<(usize, FaultSchedule)>) {
     let order = world.grid().block_ids_sorted();
     world.set_module_mapping(order.clone());
     let root = world
@@ -757,18 +698,19 @@ pub fn build_actor_system_with_faults(
             f.schedule,
         )
     });
-    let mut system = ActorSystem::new(world);
-    for (i, block) in order.into_iter().enumerate() {
-        let core = ElectionCore::new(block, block == root, algorithm);
-        let mut harness = BlockHarness::with_reliability(core, reliability);
-        if let Some((index, schedule)) = victim {
-            if i == index {
-                harness = harness.with_fault(schedule);
+    let harnesses = order
+        .into_iter()
+        .enumerate()
+        .map(|(i, block)| {
+            let core = ElectionCore::new(block, block == root, algorithm);
+            let harness = BlockHarness::with_reliability(core, reliability);
+            match victim {
+                Some((index, schedule)) if i == index => harness.with_fault(schedule),
+                _ => harness,
             }
-        }
-        system.add_actor(harness);
-    }
-    system
+        })
+        .collect();
+    (harnesses, victim)
 }
 
 #[cfg(test)]
@@ -818,55 +760,6 @@ mod tests {
         assert!(report.stopped, "algorithm must terminate, not time out");
         assert_eq!(report.world.outcome(), Some(Outcome::Completed));
         assert!(report.world.path_complete());
-    }
-
-    /// The arena-stored (monomorphic) and boxed (type-erased) builds run
-    /// the same protocol: identical outcome, event count, simulated end
-    /// time and final colours for the same seed.
-    #[test]
-    fn arena_and_boxed_simulations_agree() {
-        let run = |boxed: bool| {
-            let world = SurfaceWorld::standard(small_config());
-            let algorithm = AlgorithmConfig::default();
-            if boxed {
-                let mut sim = build_des_simulation_boxed(
-                    world,
-                    algorithm,
-                    NetworkModel::default(),
-                    7,
-                    ReliabilityConfig::off(),
-                );
-                let stats = sim.run_until_idle();
-                let colors: Vec<_> = (0..sim.module_count())
-                    .map(|i| sim.color_of(ModuleId(i)))
-                    .collect();
-                (
-                    stats.events_processed,
-                    sim.now(),
-                    sim.world().outcome(),
-                    colors,
-                )
-            } else {
-                let mut sim = build_des_simulation(
-                    world,
-                    algorithm,
-                    NetworkModel::default(),
-                    7,
-                    ReliabilityConfig::off(),
-                );
-                let stats = sim.run_until_idle();
-                let colors: Vec<_> = (0..sim.module_count())
-                    .map(|i| sim.color_of(ModuleId(i)))
-                    .collect();
-                (
-                    stats.events_processed,
-                    sim.now(),
-                    sim.world().outcome(),
-                    colors,
-                )
-            }
-        };
-        assert_eq!(run(false), run(true));
     }
 
     /// The satellite fix of PR 4 this pins down: the actor runtime used

@@ -8,10 +8,14 @@
 //! simple laptop" (Section V.E).  VisibleSim is not reusable here, so this
 //! crate implements the same architectural idea from scratch:
 //!
-//! * a **discrete-event core**: a time-ordered event queue with
-//!   deterministic FIFO tie-breaking;
+//! * a **discrete-event core**: one binary heap of pending events keyed
+//!   by `(time, seq)`, so equal-time events fire in FIFO order; start-up
+//!   callbacks, message deliveries and timers are all ordinary events
+//!   (see [`sim`] for the layout);
 //! * per-module **block codes** ([`BlockCode`]): the user program executed
-//!   by every block, reacting to message and timer events;
+//!   by every block, reacting to message and timer events (a block that
+//!   needs VisibleSim's discrete-time ticks re-arms a timer with
+//!   [`Context::set_timer`]);
 //! * an explicit, user-defined **world** shared by the modules (for the
 //!   Smart Blocks: the occupancy grid and the motion engine), accessed
 //!   through the event [`Context`];
@@ -62,25 +66,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod discrete_time;
 pub mod event;
 pub mod fault;
 pub mod latency;
 pub mod module;
 pub mod network;
-pub mod queue;
 pub mod sim;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use discrete_time::{add_periodic_driver, PeriodicDriver, TickMessage};
 pub use event::EventKind;
 pub use fault::{FaultPlan, FaultWindow};
 pub use latency::LatencyModel;
 pub use module::{BlockCode, Color, ModuleId};
 pub use network::NetworkModel;
-pub use queue::{CalendarQueue, QueueKind};
 pub use sim::{Context, Simulator};
 pub use stats::SimStats;
 pub use time::{Duration, SimTime};

@@ -1,42 +1,34 @@
 //! The discrete-event core: event queue, dispatcher and the block-code
 //! execution context.
 //!
-//! ## Scaling layout (PR 5)
+//! ## Layout
 //!
-//! Two storage decisions make the dispatch loop scale past 10⁵ modules:
-//!
-//! * the pending-event store is a deterministic
-//!   [`CalendarQueue`](crate::queue::CalendarQueue) instead of one big
-//!   `BinaryHeap` — amortised O(1) per event instead of O(log n), with
-//!   identical pop order;
-//! * modules live in a **dense arena** `Vec<C>` where `C` is the concrete
+//! * Pending events live in one `BinaryHeap<Event<M>>` keyed by
+//!   `(time, seq)`; [`Event`]'s reversed `Ord` makes the max-heap pop the
+//!   earliest event first, FIFO among equal timestamps.  A complete
+//!   reconfiguration keeps only about N events pending while it
+//!   dispatches O(N³) of them, so the O(log n) heap stays shallow.
+//! * Start-up callbacks are ordinary [`EventKind::Start`] events:
+//!   [`Simulator::add`] schedules one at the current simulated time, so
+//!   every start fires before any same-time message scheduled later.
+//! * Modules live in a **dense arena** `Vec<C>` where `C` is the concrete
 //!   block-code type: the hot loop monomorphizes (no `Box<dyn>` pointer
-//!   chase, no virtual dispatch) whenever the caller names `C`.  The
-//!   historical heterogeneous mode is still the default: with the `C`
-//!   parameter left at its `Box<dyn BlockCode<M, W>>` default,
-//!   [`Simulator::add_module`] type-erases each module exactly as before.
-//!
-//! Start-up callbacks are **batched**: registering a module no longer
-//! inserts a `Start` event into the queue.  The dispatcher instead keeps
-//! the registration order (with the `(time, seq)` key each start *would*
-//! have carried) in a plain FIFO and interleaves it with the event queue
-//! by key comparison, so the observable order — every start before any
-//! same-time message scheduled later, FIFO among equal keys — is
-//! bit-for-bit the historical one while registration drops from O(n log n)
-//! heap traffic to O(n) appends.
+//!   chase, no virtual dispatch) whenever the caller names `C`.  With the
+//!   `C` parameter left at its `Box<dyn BlockCode<M, W>>` default,
+//!   [`Simulator::add_module`] type-erases each module instead, so one
+//!   simulation can mix block-code types.
 
 use crate::event::{Event, EventKind};
 use crate::fault::FaultPlan;
 use crate::latency::LatencyModel;
 use crate::module::{BlockCode, Color, ModuleId};
 use crate::network::{NetworkModel, NetworkState};
-use crate::queue::{EventQueue, QueueKind};
 use crate::stats::SimStats;
 use crate::time::{Duration, SimTime};
 use crate::trace::{TraceBuffer, TraceEntry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+use std::collections::BinaryHeap;
 use std::time::Instant;
 
 /// Mutable simulator state shared between the dispatcher and the block
@@ -44,10 +36,7 @@ use std::time::Instant;
 /// that a module can be borrowed mutably while it manipulates the kernel.
 struct Kernel<M, W> {
     world: W,
-    queue: EventQueue<M>,
-    /// Batched start-up callbacks not yet dispatched (maintained by the
-    /// simulator; mirrored here so queue-length statistics stay accurate).
-    pending_starts: usize,
+    queue: BinaryHeap<Event<M>>,
     now: SimTime,
     seq: u64,
     network: NetworkState,
@@ -70,17 +59,8 @@ impl<M, W> Kernel<M, W> {
         };
         self.seq += 1;
         self.queue.push(event);
-        let pending = self.queue.len() + self.pending_starts;
-        self.stats.max_queue_len = self.stats.max_queue_len.max(pending);
+        self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
     }
-}
-
-/// A start-up callback waiting in the batched registration FIFO, carrying
-/// the `(time, seq)` key the equivalent `Start` event would have had.
-struct StartEntry {
-    time: SimTime,
-    seq: u64,
-    module: ModuleId,
 }
 
 /// The execution context handed to a block code while it processes an
@@ -221,11 +201,6 @@ impl<'a, M: Clone, W> Context<'a, M, W> {
 /// calls) — the mode the Smart Blocks election runs in.
 pub struct Simulator<M, W, C = Box<dyn BlockCode<M, W>>> {
     modules: Vec<C>,
-    starts: VecDeque<StartEntry>,
-    /// Historical behaviour: schedule one `Start` event through the event
-    /// queue per registration instead of batching (kept constructible so
-    /// before/after benchmarks measure the real pre-batching baseline).
-    eager_starts: bool,
     kernel: Kernel<M, W>,
 }
 
@@ -236,12 +211,9 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
     pub fn new(world: W) -> Self {
         Simulator {
             modules: Vec::new(),
-            starts: VecDeque::new(),
-            eager_starts: false,
             kernel: Kernel {
                 world,
-                queue: EventQueue::calendar(),
-                pending_starts: 0,
+                queue: BinaryHeap::new(),
                 now: SimTime::ZERO,
                 seq: 0,
                 network: NetworkState::new(NetworkModel::default(), network_seed(0xD15C0)),
@@ -276,26 +248,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         self
     }
 
-    /// Selects the pending-event backend (builder style): the adaptive
-    /// calendar queue (default), or the historical `BinaryHeap` baseline
-    /// kept measurable for before/after throughput comparisons.  Pending
-    /// events, if any, are transferred.
-    pub fn with_queue_kind(mut self, kind: QueueKind) -> Self {
-        if self.kernel.queue.kind() == kind {
-            return self;
-        }
-        // The placeholder is the cheapest queue (an empty heap never
-        // allocates); `rebuilt_as` replaces it with the real transfer.
-        let queue = std::mem::replace(&mut self.kernel.queue, EventQueue::heap());
-        self.kernel.queue = queue.rebuilt_as(kind);
-        self
-    }
-
-    /// The pending-event backend in use.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.kernel.queue.kind()
-    }
-
     /// Enables the trace buffer with the given capacity (builder style).
     pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
         self.kernel.trace = TraceBuffer::with_capacity(capacity);
@@ -311,39 +263,14 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         self
     }
 
-    /// Schedules start-up callbacks as per-module `Start` events through
-    /// the event queue — the historical O(n log n) registration path —
-    /// instead of the batched FIFO (builder style; call before
-    /// registering modules).  Kept so the `desim_throughput` before/after
-    /// comparison can measure the real pre-batching baseline; dispatch
-    /// order is identical either way.
-    pub fn with_eager_starts(mut self) -> Self {
-        self.eager_starts = true;
-        self
-    }
-
-    /// Registers a module in the arena and queues its start-up callback
-    /// (batched: one FIFO append, not an event-queue insertion) at the
-    /// current simulated time.
+    /// Registers a module in the arena and schedules its start-up
+    /// callback at the current simulated time.
     pub fn add(&mut self, code: C) -> ModuleId {
         let id = ModuleId(self.modules.len());
         self.modules.push(code);
         self.kernel.colors.push(Color::GREY);
-        if self.eager_starts {
-            let now = self.kernel.now;
-            self.kernel.schedule(now, EventKind::Start { module: id });
-            return id;
-        }
-        let seq = self.kernel.seq;
-        self.kernel.seq += 1;
-        self.starts.push_back(StartEntry {
-            time: self.kernel.now,
-            seq,
-            module: id,
-        });
-        self.kernel.pending_starts = self.starts.len();
-        let pending = self.kernel.queue.len() + self.starts.len();
-        self.kernel.stats.max_queue_len = self.kernel.stats.max_queue_len.max(pending);
+        let now = self.kernel.now;
+        self.kernel.schedule(now, EventKind::Start { module: id });
         id
     }
 
@@ -395,14 +322,14 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
 
     /// Whether no event (start-up callbacks included) is pending.
     pub fn is_idle(&self) -> bool {
-        self.kernel.queue.is_empty() && self.starts.is_empty()
+        self.kernel.queue.is_empty()
     }
 
     /// Number of events still queued (events left behind by a stop
     /// request, or scheduled past a `run_until` deadline), including
     /// undispatched start-up callbacks.
     pub fn pending_events(&self) -> usize {
-        self.kernel.queue.len() + self.starts.len()
+        self.kernel.queue.len()
     }
 
     /// Whether a block code requested the simulation to stop.
@@ -421,50 +348,9 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         self.modules.get(id.index())
     }
 
-    /// `(time, seq)` key of the next event to dispatch: the minimum of
-    /// the batched-start FIFO head and the event queue.
-    fn next_key(&mut self) -> Option<(SimTime, u64)> {
-        let start = self.starts.front().map(|s| (s.time, s.seq));
-        let queued = self.kernel.queue.peek_key();
-        match (start, queued) {
-            (Some(s), Some(q)) => Some(s.min(q)),
-            (s, q) => s.or(q),
-        }
-    }
-
     /// Processes the next event.  Returns `false` when the queue is empty
     /// (nothing was processed).
     pub fn step(&mut self) -> bool {
-        // Dispatch the next batched start-up callback when its key
-        // precedes everything in the event queue — the exact order the
-        // per-module `Start` events used to impose.  The FIFO is usually
-        // empty (starts drain first), so the hot path skips the queue
-        // peek entirely.
-        let start_is_next = match self.starts.front() {
-            None => false,
-            Some(s) => match self.kernel.queue.peek_key() {
-                Some(key) => (s.time, s.seq) <= key,
-                None => true,
-            },
-        };
-        if start_is_next {
-            let start = self.starts.pop_front().expect("a start entry is queued");
-            self.kernel.pending_starts = self.starts.len();
-            debug_assert!(start.time >= self.kernel.now, "time must not run backwards");
-            self.kernel.now = start.time;
-            self.kernel.stats.events_processed += 1;
-            self.kernel.stats.sim_time_end = start.time;
-            let code = self
-                .modules
-                .get_mut(start.module.index())
-                .expect("a start entry targets a registered module");
-            let mut ctx = Context {
-                kernel: &mut self.kernel,
-                me: start.module,
-            };
-            code.on_start(&mut ctx);
-            return true;
-        }
         let event = match self.kernel.queue.pop() {
             Some(e) => e,
             None => return false,
@@ -529,8 +415,8 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         // sb-allow: wall-clock-in-sim — feeds only SimStats::wall_elapsed (host-side stdout reporting; excluded from sweep JSON)
         let start = Instant::now();
         while !self.kernel.stop_requested {
-            match self.next_key() {
-                Some((time, _)) if time <= deadline => {
+            match self.kernel.queue.peek() {
+                Some(event) if event.time <= deadline => {
                     self.step();
                 }
                 _ => break,
@@ -663,14 +549,7 @@ mod tests {
     fn identical_seeds_give_identical_runs() {
         let run = |seed| {
             let mut sim = build_ring(4, 20);
-            sim = Simulator {
-                modules: sim.modules,
-                starts: sim.starts,
-                eager_starts: sim.eager_starts,
-                kernel: sim.kernel,
-            }
-            .with_seed(seed)
-            .with_latency(LatencyModel::Uniform {
+            sim = sim.with_seed(seed).with_latency(LatencyModel::Uniform {
                 min: Duration::micros(1),
                 max: Duration::micros(100),
             });
@@ -687,29 +566,32 @@ mod tests {
     }
 
     #[test]
-    fn queue_backends_produce_identical_runs() {
-        // The heap baseline and the calendar queue must be schedule-level
-        // indistinguishable: same deliveries at the same times.
-        let run = |kind| {
-            let mut sim = build_ring(4, 20);
-            sim = Simulator {
-                modules: sim.modules,
-                starts: sim.starts,
-                eager_starts: sim.eager_starts,
-                kernel: sim.kernel,
+    fn starts_fire_in_registration_order_before_later_events() {
+        // A start is an ordinary event keyed at registration: modules
+        // added at the same instant start in registration order, and a
+        // zero-delay message sent from a start waits behind every start
+        // registered before it was sent.
+        struct Logger(u32);
+        impl BlockCode<u32, Vec<u32>> for Logger {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32, Vec<u32>>) {
+                ctx.world_mut().push(self.0);
+                if self.0 == 0 {
+                    ctx.send_with_delay(ModuleId(2), 100, Duration::ZERO);
+                }
             }
-            .with_seed(3)
-            .with_latency(LatencyModel::Uniform {
-                min: Duration::micros(1),
-                max: Duration::micros(100),
-            })
-            .with_queue_kind(kind);
-            assert_eq!(sim.queue_kind(), kind);
-            sim.run_until_idle();
-            let deliveries: Vec<SimTime> = sim.trace().entries().iter().map(|e| e.time).collect();
-            (sim.now(), sim.stats().events_processed, deliveries)
-        };
-        assert_eq!(run(QueueKind::Calendar), run(QueueKind::BinaryHeap));
+            fn on_message(&mut self, _: ModuleId, msg: u32, ctx: &mut Context<'_, u32, Vec<u32>>) {
+                ctx.world_mut().push(msg);
+            }
+        }
+        let mut sim = Simulator::new(Vec::new());
+        for i in 0..3 {
+            sim.add(Logger(i));
+        }
+        assert_eq!(sim.pending_events(), 3);
+        let stats = sim.run_until_idle();
+        assert_eq!(sim.world().as_slice(), &[0, 1, 2, 100]);
+        assert_eq!(stats.events_processed, 4);
+        assert_eq!(stats.max_queue_len, 3);
     }
 
     #[test]
@@ -742,9 +624,8 @@ mod tests {
         sim.add_module(Sender { target: recorder });
         let stats = sim.run_until_idle();
         assert_eq!(sim.world().as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        // Queue-length accounting stays accurate with batched starts: the
-        // high-water mark is the ten simultaneous in-flight messages (the
-        // two pending starts never coexist with them).
+        // The high-water mark is the ten simultaneous in-flight messages:
+        // both start events have been dispatched before any is sent.
         assert_eq!(stats.max_queue_len, 10);
     }
 
@@ -793,13 +674,7 @@ mod tests {
     #[test]
     fn instant_latency_keeps_time_at_zero() {
         let mut sim = build_ring(4, 8);
-        sim = Simulator {
-            modules: sim.modules,
-            starts: sim.starts,
-            eager_starts: sim.eager_starts,
-            kernel: sim.kernel,
-        }
-        .with_latency(LatencyModel::Instant);
+        sim = sim.with_latency(LatencyModel::Instant);
         sim.run_until_idle();
         assert_eq!(sim.now(), SimTime::ZERO);
     }
@@ -810,13 +685,7 @@ mod tests {
         // queue drains with the protocol unfinished — exactly how a
         // violated Assumption 3 surfaces (no outcome, no crash).
         let mut sim = build_ring(5, 12);
-        sim = Simulator {
-            modules: sim.modules,
-            starts: sim.starts,
-            eager_starts: sim.eager_starts,
-            kernel: sim.kernel,
-        }
-        .with_network(NetworkModel::Lossy {
+        sim = sim.with_network(NetworkModel::Lossy {
             latency: LatencyModel::Fixed(Duration::micros(10)),
             drop_permille: 1000,
         });
@@ -850,13 +719,7 @@ mod tests {
         let mut sim: Simulator<u32, u64> = Simulator::new(0);
         let recorder = sim.add_module(Recorder);
         sim.add_module(Sender { target: recorder });
-        sim = Simulator {
-            modules: sim.modules,
-            starts: sim.starts,
-            eager_starts: sim.eager_starts,
-            kernel: sim.kernel,
-        }
-        .with_network(NetworkModel::Duplicating {
+        sim = sim.with_network(NetworkModel::Duplicating {
             latency: LatencyModel::Fixed(Duration::micros(10)),
             dup_permille: 1000,
         });

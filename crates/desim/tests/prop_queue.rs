@@ -1,15 +1,14 @@
-//! Differential property tests: the calendar queue must pop in exactly
-//! the order of the historical `BinaryHeap` baseline — `(time, seq)`
-//! ascending, FIFO among equal timestamps — for any interleaving of
-//! pushes and pops, including same-timestamp bursts, bucket-boundary
-//! times, far-future overflow events and workloads large enough to
-//! trigger mid-run rebucketing.
+//! Order check of the simulator's event queue: a `BinaryHeap<Event<_>>`
+//! must pop in `(time, seq)` ascending order — FIFO among equal
+//! timestamps — for any interleaving of pushes and pops, zero-delay
+//! bursts included.  The heap is a max-heap, so this pins the
+//! hand-reversed `Ord` on [`Event`], the only ordering logic the kernel
+//! has.
 
 use proptest::prelude::*;
 use sb_desim::event::{Event, EventKind};
-use sb_desim::queue::CalendarQueue;
 use sb_desim::{ModuleId, SimTime};
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 fn ev(time: u64, seq: u64) -> Event<u64> {
     Event {
@@ -32,10 +31,9 @@ enum Op {
     Pop { n: usize },
 }
 
-/// Time offsets biased towards the interesting edges of the calendar
-/// geometry: zero (same-timestamp bursts), the initial 16 µs bucket
-/// boundary ±1, the initial 256 µs horizon ±1, and far-future values
-/// that land in the overflow tier.
+/// Time offsets biased towards zero (same-timestamp bursts, where only
+/// `seq` orders the events) and small jitter, with occasional far-future
+/// values.
 fn dt_strategy() -> impl Strategy<Value = u64> {
     // The vendored `prop_oneof!` is unweighted; repeating a strategy
     // raises its relative frequency.
@@ -44,14 +42,6 @@ fn dt_strategy() -> impl Strategy<Value = u64> {
         Just(0u64),
         1u64..20,
         1u64..20,
-        prop_oneof![
-            Just(15u64),
-            Just(16),
-            Just(17),
-            Just(255),
-            Just(256),
-            Just(257)
-        ],
         20u64..2_000,
         100_000u64..10_000_000,
     ]
@@ -73,31 +63,31 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Every pop agrees with the `BinaryHeap` model in `(time, seq)`,
-    /// the lengths stay in lockstep, and both drain to the same tail.
+    /// Every pop agrees with a `(time, seq)`-sorted reference, the lengths
+    /// stay in lockstep, and both drain to the same tail.
     #[test]
-    fn calendar_pops_in_exact_heap_order(ops in ops_strategy()) {
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
-        let mut model: BinaryHeap<Event<u64>> = BinaryHeap::new();
+    fn heap_pops_in_time_then_seq_order(ops in ops_strategy()) {
+        let mut heap: BinaryHeap<Event<u64>> = BinaryHeap::new();
+        let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         for op in ops {
             match op {
                 Op::Push { dt } => {
                     let t = now + dt;
-                    calendar.push(ev(t, seq));
-                    model.push(ev(t, seq));
+                    heap.push(ev(t, seq));
+                    reference.insert((t, seq));
                     seq += 1;
                 }
                 Op::Pop { n } => {
                     for _ in 0..n {
-                        prop_assert_eq!(calendar.len(), model.len());
-                        let expect = model.pop().map(|e| (e.time, e.seq));
-                        prop_assert_eq!(calendar.peek_key(), expect);
-                        let got = calendar.pop().map(|e| (e.time, e.seq));
+                        prop_assert_eq!(heap.len(), reference.len());
+                        let expect = reference.pop_first();
+                        prop_assert_eq!(heap.peek().map(|e| (e.time.0, e.seq)), expect);
+                        let got = heap.pop().map(|e| (e.time.0, e.seq));
                         prop_assert_eq!(got, expect);
                         if let Some((t, _)) = got {
-                            now = t.as_micros();
+                            now = t;
                         }
                     }
                 }
@@ -105,38 +95,13 @@ proptest! {
         }
         // Drain both to the end: the tails must agree too.
         loop {
-            prop_assert_eq!(calendar.len(), model.len());
-            let expect = model.pop().map(|e| (e.time, e.seq));
-            let got = calendar.pop().map(|e| (e.time, e.seq));
+            let expect = reference.pop_first();
+            let got = heap.pop().map(|e| (e.time.0, e.seq));
             prop_assert_eq!(got, expect);
             if got.is_none() {
                 break;
             }
         }
-        prop_assert!(calendar.is_empty());
-    }
-
-    /// A bulk load big enough to force at least one rebucketing rebuild
-    /// (the initial geometry holds 16 buckets; growth triggers past 4×
-    /// average occupancy) drains in exactly sorted order.
-    #[test]
-    fn bulk_load_with_resizes_drains_sorted(
-        times in proptest::collection::vec(dt_strategy(), 200..600)
-    ) {
-        let mut calendar: CalendarQueue<u64> = CalendarQueue::new();
-        let mut expected: Vec<(u64, u64)> = Vec::with_capacity(times.len());
-        let mut t = 0u64;
-        for (seq, dt) in times.into_iter().enumerate() {
-            // A meandering but non-decreasing schedule, as the simulator
-            // produces.
-            t += dt;
-            calendar.push(ev(t, seq as u64));
-            expected.push((t, seq as u64));
-        }
-        expected.sort_unstable();
-        let drained: Vec<(u64, u64)> = std::iter::from_fn(|| calendar.pop())
-            .map(|e| (e.time.as_micros(), e.seq))
-            .collect();
-        prop_assert_eq!(drained, expected);
+        prop_assert!(heap.is_empty());
     }
 }

@@ -13,14 +13,11 @@
 //! jittered, heterogeneous/asymmetric per-link, heavy-tailed), three
 //! seeds per cell — across every available core, prints the per-group
 //! aggregates, fits a power-law exponent for the column family so the
-//! growth rates can be compared against the remarks, measures the DES
-//! engine's before/after throughput (`BinaryHeap` + boxed + eager-start
-//! baseline vs calendar queue + monomorphic arena, ring and election
-//! workloads up to N = 10⁵), and writes the versioned machine-readable
-//! `BENCH_planner.json` (schema v6, see `ROADMAP.md`) — per-group
-//! aggregates, bisectable per-cell records, and the attached
-//! (host-dependent) throughput section — so the performance trajectory
-//! can be tracked across changes.
+//! growth rates can be compared against the remarks, and writes the
+//! versioned machine-readable `BENCH_planner.json` (schema v8, see
+//! `sb_bench::sweep`) — per-group aggregates and bisectable per-cell
+//! records, all deterministic, so the file is byte-identical across runs
+//! and hosts and any behaviour change shows up as a diff.
 //!
 //! It then smoke-runs the **fault-probe plan** — jitter bursts, i.i.d.
 //! drop at 1% and 10%, 1% i.i.d. duplication and the combined
@@ -37,7 +34,6 @@
 
 use sb_bench::fit_exponent;
 use sb_bench::sweep::{Family, SweepEngine, SweepPlan, SweepReport};
-use sb_bench::{measure_election, measure_ring};
 
 fn print_groups(report: &SweepReport) {
     println!(
@@ -80,36 +76,12 @@ fn main() {
     );
     // sb-allow: wall-clock-in-sim — stdout-only wall timing of the sweep itself
     let start = std::time::Instant::now();
-    let mut report = engine.run(&plan);
+    let report = engine.run(&plan);
     let wall = start.elapsed();
     print_groups(&report);
 
-    // Before/after DES engine throughput (wall-clock, host-dependent;
-    // attached to the JSON as the explicitly-flagged `desim_throughput`
-    // section).  Ring = kernel-bound scaling envelope; elections = the
-    // production harness at N = 10⁵, startup sweep + bounded slice of
-    // the first diffusing computation.
-    println!("\nDES engine before/after (baseline = BinaryHeap + boxed + eager starts):");
-    report.throughput = vec![
-        measure_ring(10_000, 40_000),
-        measure_ring(100_000, 400_000),
-        measure_election(Family::Column, 100_000, 120_000),
-        measure_election(Family::Serpentine, 100_000, 120_000),
-    ];
-    for p in &report.throughput {
-        println!(
-            "  {:>10} {:>7} modules: baseline {:>11.0} ev/s, tuned {:>11.0} ev/s ({:.1}x)",
-            p.workload,
-            p.modules,
-            p.baseline_events_per_sec,
-            p.tuned_events_per_sec,
-            p.speedup(),
-        );
-    }
-
     // Machine-readable record for future perf comparisons (deterministic
-    // and byte-identical for a fixed plan regardless of worker count —
-    // except the clearly-marked throughput section attached above).
+    // and byte-identical for a fixed plan regardless of worker count).
     let json = report.to_json();
     match std::fs::write("BENCH_planner.json", &json) {
         Ok(()) => println!(
