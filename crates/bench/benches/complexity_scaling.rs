@@ -76,7 +76,7 @@ fn bench_scaling(c: &mut Criterion) {
         // and aggregation scaffolding (which would dominate at small N).
         let cell = column_plan(vec![n]).cells()[0];
         group.bench_with_input(BenchmarkId::new("engine_cell", n), &n, |b, _| {
-            b.iter(|| black_box(run_cell(&cell, 1).moves))
+            b.iter(|| black_box(run_cell(&cell, 1).metrics.elementary_moves))
         });
     }
     group.finish();

@@ -59,7 +59,7 @@
 use sb_core::election::{RoundsConfig, TieBreak};
 use sb_core::workloads;
 use sb_core::{
-    FaultInjection, FaultSchedule, FaultVictim, MotionModel, ReconfigurationDriver,
+    FaultInjection, FaultSchedule, FaultVictim, Metrics, MotionModel, ReconfigurationDriver,
     ReliabilityConfig,
 };
 use sb_desim::network::{fnv1a64, splitmix64};
@@ -698,14 +698,9 @@ impl SweepCell {
 pub struct CellMeasurement {
     /// The cell the measurement belongs to.
     pub cell: SweepCell,
-    /// Elections run (iterations of Algorithm 1).
-    pub elections: u64,
-    /// Total messages exchanged.
-    pub messages: u64,
-    /// Elementary block moves executed.
-    pub moves: u64,
-    /// Distance computations (Remark 2).
-    pub distance_computations: u64,
+    /// The run's counters (elections, messages, moves, distance
+    /// computations, reliability, connectivity and recovery counters).
+    pub metrics: Metrics,
     /// Final simulated time, microseconds.
     pub sim_time_us: u64,
     /// Events processed by the dispatcher.
@@ -720,34 +715,6 @@ pub struct CellMeasurement {
     /// fault-free network; a message-dropping [`NetworkSpec`] deadlocks
     /// the election, and the resulting timeouts are the measurement.
     pub timed_out: bool,
-    /// Payload retransmissions by the reliable delivery layer (zero when
-    /// reliability is off).
-    pub retransmissions: u64,
-    /// Received payload copies suppressed by the dedup window.
-    pub duplicates_suppressed: u64,
-    /// Transport-level delivery acks sent (the overhead of reliability;
-    /// not part of `messages`).
-    pub delivery_acks: u64,
-    /// Messages abandoned after exhausting the retry budget.
-    pub delivery_failures: u64,
-    /// Full Tarjan passes run by the world's connectivity oracle.
-    pub connectivity_rebuilds: u64,
-    /// Remark 1 probes that left the O(1) block-cut-tree path for the
-    /// O(N) scratch BFS — ~0 on the standard families, so any growth is
-    /// a fast-path regression visible in `BENCH_planner.json`.
-    pub connectivity_fallback_probes: u64,
-    /// Occupancy epochs the oracle absorbed incrementally instead of
-    /// rebuilding — the measured amortised-O(1) maintenance claim.
-    pub connectivity_incremental_updates: u64,
-    /// Election rounds entered (1 for an undisturbed rounds-on run, 0
-    /// with rounds off).
-    pub rounds_started: u64,
-    /// Rounds abandoned by the skip watchdog.
-    pub round_skips: u64,
-    /// Module crashes injected by the cell's [`FaultSpec`].
-    pub crashes_injected: u64,
-    /// Crashed modules that rejoined.
-    pub rejoins: u64,
     /// Wall-clock duration of the run (excluded from the JSON record,
     /// which must be deterministic).
     pub wall: WallDuration,
@@ -794,26 +761,12 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
     let report = driver.run_des();
     CellMeasurement {
         cell: *cell,
-        elections: report.elections(),
-        messages: report.total_messages(),
-        moves: report.elementary_moves(),
-        distance_computations: report.metrics.distance_computations,
+        metrics: report.metrics,
         sim_time_us: report.sim_time_us.unwrap_or(0),
         events: report.events_processed.unwrap_or(0),
         completed: report.completed,
         stalled: report.stalled,
         timed_out: !report.completed && !report.stalled,
-        retransmissions: report.metrics.retransmissions,
-        duplicates_suppressed: report.metrics.duplicates_suppressed,
-        delivery_acks: report.metrics.delivery_acks,
-        delivery_failures: report.metrics.delivery_failures,
-        connectivity_rebuilds: report.metrics.connectivity_rebuilds,
-        connectivity_fallback_probes: report.metrics.connectivity_fallback_probes,
-        connectivity_incremental_updates: report.metrics.connectivity_incremental_updates,
-        rounds_started: report.metrics.rounds_started,
-        round_skips: report.metrics.round_skips,
-        crashes_injected: report.metrics.crashes_injected,
-        rejoins: report.metrics.rejoins,
         wall: report.wall_time,
     }
 }
@@ -1041,23 +994,23 @@ impl SweepReport {
                 c.cell.fault.name,
                 c.cell.cell_seed(self.plan_seed),
                 c.outcome_name(),
-                c.elections,
-                c.messages,
-                c.moves,
-                c.distance_computations,
+                c.metrics.elections,
+                c.metrics.total_messages(),
+                c.metrics.elementary_moves,
+                c.metrics.distance_computations,
                 c.sim_time_us,
                 c.events,
-                c.retransmissions,
-                c.duplicates_suppressed,
-                c.delivery_acks,
-                c.delivery_failures,
-                c.connectivity_rebuilds,
-                c.connectivity_fallback_probes,
-                c.connectivity_incremental_updates,
-                c.rounds_started,
-                c.round_skips,
-                c.crashes_injected,
-                c.rejoins,
+                c.metrics.retransmissions,
+                c.metrics.duplicates_suppressed,
+                c.metrics.delivery_acks,
+                c.metrics.delivery_failures,
+                c.metrics.connectivity_rebuilds,
+                c.metrics.connectivity_fallback_probes,
+                c.metrics.connectivity_incremental_updates,
+                c.metrics.rounds_started,
+                c.metrics.round_skips,
+                c.metrics.crashes_injected,
+                c.metrics.rejoins,
             );
             out.push_str(if i + 1 < self.cells.len() {
                 ",\n"
@@ -1140,15 +1093,15 @@ fn summarize_group(chunk: &[CellMeasurement]) -> GroupSummary {
         completed_rate: rate(|c| c.completed),
         stall_rate: rate(|c| c.stalled),
         timeout_rate: rate(|c| c.timed_out),
-        elections: stats(|c| c.elections as f64),
-        messages: stats(|c| c.messages as f64),
-        moves: stats(|c| c.moves as f64),
-        distance_computations: stats(|c| c.distance_computations as f64),
+        elections: stats(|c| c.metrics.elections as f64),
+        messages: stats(|c| c.metrics.total_messages() as f64),
+        moves: stats(|c| c.metrics.elementary_moves as f64),
+        distance_computations: stats(|c| c.metrics.distance_computations as f64),
         sim_time_us: stats(|c| c.sim_time_us as f64),
         events_per_sim_sec: stats(CellMeasurement::events_per_sim_sec),
-        retransmissions: stats(|c| c.retransmissions as f64),
-        connectivity_fallback_probes: stats(|c| c.connectivity_fallback_probes as f64),
-        round_skips: stats(|c| c.round_skips as f64),
+        retransmissions: stats(|c| c.metrics.retransmissions as f64),
+        connectivity_fallback_probes: stats(|c| c.metrics.connectivity_fallback_probes as f64),
+        round_skips: stats(|c| c.metrics.round_skips as f64),
     }
 }
 
@@ -1212,7 +1165,7 @@ mod tests {
         // path, and the measurement must surface that as data.
         let plan = SweepPlan::smoke();
         for cell in plan.cells().iter().take(2) {
-            let m = run_cell(cell, plan.plan_seed);
+            let m = run_cell(cell, plan.plan_seed).metrics;
             assert!(
                 m.connectivity_rebuilds > 0,
                 "{}: the run must have probed the oracle",
@@ -1283,9 +1236,9 @@ mod tests {
             })
             .expect("the crash plan sweeps a column root-crash cell");
         let m = run_cell(&cell, plan.plan_seed);
-        assert_eq!(m.crashes_injected, 1, "exactly one scheduled crash");
-        assert_eq!(m.rejoins, 1, "the victim rejoined");
-        assert!(m.rounds_started >= 1, "rounds were live");
+        assert_eq!(m.metrics.crashes_injected, 1, "exactly one scheduled crash");
+        assert_eq!(m.metrics.rejoins, 1, "the victim rejoined");
+        assert!(m.metrics.rounds_started >= 1, "rounds were live");
         assert!(!m.timed_out, "crash recovery must not hang the run");
     }
 

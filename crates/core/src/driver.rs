@@ -7,14 +7,13 @@
 //! the paper discusses (number of elections, block moves, messages,
 //! distance computations).
 
-use crate::election::AlgorithmConfig;
+use crate::election::{AlgorithmConfig, ElectionCore};
 use crate::metrics::Metrics;
-use crate::reliability::ReliabilityConfig;
-use crate::runtime::{
-    build_actor_system_with_faults, build_des_simulation_with_faults, FaultInjection,
-};
+use crate::reliability::{Envelope, ReliabilityConfig};
+use crate::runtime::{BlockHarness, FaultInjection, CONTROL_BIT};
 use crate::world::{MotionModel, MoveRecord, MoveRule, Outcome, SurfaceWorld};
-use sb_desim::{Duration as SimDuration, LatencyModel, NetworkModel};
+use sb_actor::ActorSystem;
+use sb_desim::{Duration as SimDuration, FaultPlan, NetworkModel, SimTime, Simulator};
 use sb_grid::SurfaceConfig;
 use sb_motion::RuleCatalog;
 use std::fmt;
@@ -223,13 +222,6 @@ impl ReconfigurationDriver {
         self
     }
 
-    /// Overrides the message latency model of the discrete-event runtime
-    /// (uniform across links); shorthand for
-    /// `with_network(NetworkModel::Uniform(..))`.
-    pub fn with_latency(self, latency: LatencyModel) -> Self {
-        self.with_network(NetworkModel::Uniform(latency))
-    }
-
     /// Overrides the per-link network model of the discrete-event runtime
     /// (heterogeneous/asymmetric delays, heavy tails, jitter bursts, or
     /// the drop/duplication assumption-violation probes).
@@ -326,18 +318,88 @@ impl ReconfigurationDriver {
         }
     }
 
+    /// The run deployed on the discrete-event simulator, ready to
+    /// dispatch: one [`BlockHarness`] per block in the simulator's dense
+    /// module arena, and, with a fault injected, the kernel [`FaultPlan`]
+    /// that drops (and counts) in-flight events addressed to the dead
+    /// window.
+    pub fn des_simulation(&self) -> Simulator<Envelope, SurfaceWorld, BlockHarness> {
+        let (world, harnesses, fault_plan) = self.deploy();
+        let mut sim = Simulator::new(world)
+            .with_network(self.network)
+            .with_seed(self.sim_seed);
+        if let Some(plan) = fault_plan {
+            sim = sim.with_fault_plan(plan);
+        }
+        for harness in harnesses {
+            sim.add(harness);
+        }
+        sim
+    }
+
+    /// The run deployed on the threaded actor runtime (one OS thread per
+    /// block).  An injected fault runs entirely in the victim's harness
+    /// on wall-clock control timers: this runtime has no kernel to drop
+    /// in-flight deliveries, so the dead harness ignores them itself.
+    pub fn actor_system(&self) -> ActorSystem<Envelope, SurfaceWorld> {
+        let (world, harnesses, _) = self.deploy();
+        let mut system = ActorSystem::new(world);
+        for harness in harnesses {
+            system.add_actor(harness);
+        }
+        system
+    }
+
+    /// What both deployments derive from the instance: the world, with
+    /// its module mapping installed (block ids ascending); one harness per
+    /// block in that order, the Root being the block on the input cell;
+    /// and, with a fault injected, the kernel plan of the victim's dead
+    /// window, whose harness already carries the schedule.
+    fn deploy(&self) -> (SurfaceWorld, Vec<BlockHarness>, Option<FaultPlan>) {
+        let mut world = self.build_world();
+        let order = world.grid().block_ids_sorted();
+        world.set_module_mapping(order.clone());
+        let root = world
+            .root_block()
+            .expect("Assumption 2: a Root block occupies the input cell");
+        let root_index = order
+            .iter()
+            .position(|&b| b == root)
+            .expect("the Root is in the module order");
+        let victim = self.faults.map(|f| {
+            (
+                f.victim_index(order.len(), root_index, self.sim_seed),
+                f.schedule,
+            )
+        });
+        let harnesses = order
+            .into_iter()
+            .enumerate()
+            .map(|(i, block)| {
+                let core = ElectionCore::new(block, block == root, self.algorithm);
+                let harness = BlockHarness::with_reliability(core, self.reliability);
+                match victim {
+                    Some((index, schedule)) if i == index => harness.with_fault(schedule),
+                    _ => harness,
+                }
+            })
+            .collect();
+        let fault_plan = victim.map(|(index, schedule)| {
+            FaultPlan::new()
+                .with_control_tag_mask(CONTROL_BIT)
+                .with_window(
+                    index,
+                    SimTime(schedule.crash_at_us),
+                    schedule.rejoin_at_us.map(SimTime),
+                )
+        });
+        (world, harnesses, fault_plan)
+    }
+
     /// Runs the algorithm on the discrete-event simulator until it
     /// terminates (or stalls).
     pub fn run_des(&self) -> ReconfigurationReport {
-        let world = self.build_world();
-        let mut sim = build_des_simulation_with_faults(
-            world,
-            self.algorithm,
-            self.network,
-            self.sim_seed,
-            self.reliability,
-            self.faults,
-        );
+        let mut sim = self.des_simulation();
         let stats = sim.run_until_idle();
         let mut report =
             self.report_from_world(sim.world(), RuntimeKind::DiscreteEvent, stats.wall_elapsed);
@@ -350,15 +412,7 @@ impl ReconfigurationDriver {
     /// Runs the algorithm on the threaded actor runtime with the given
     /// wall-clock deadline.
     pub fn run_actors(&self, deadline: WallDuration) -> ReconfigurationReport {
-        let world = self.build_world();
-        let system = build_actor_system_with_faults(
-            world,
-            self.algorithm,
-            self.reliability,
-            self.sim_seed,
-            self.faults,
-        );
-        let run = system.run(deadline);
+        let run = self.actor_system().run(deadline);
         let mut report = self.report_from_world(&run.world, RuntimeKind::Actors, run.elapsed);
         report.messages_delivered = Some(run.messages_delivered);
         report.stopped = run.stopped;
@@ -459,6 +513,22 @@ mod tests {
     }
 
     #[test]
+    fn des_simulation_is_the_deployment_run_des_reports() {
+        for reliability in [ReliabilityConfig::off(), ReliabilityConfig::on()] {
+            let driver = ReconfigurationDriver::new(workloads::rectangle_instance(3, 2, 4))
+                .with_reliability(reliability)
+                .with_seed(5);
+            let report = driver.run_des();
+            let mut sim = driver.des_simulation();
+            let stats = sim.run_until_idle();
+            assert!(report.completed, "{report}");
+            assert_eq!(sim.world().metrics_with_connectivity(), report.metrics);
+            assert_eq!(sim.world().move_log(), report.move_log.as_slice());
+            assert_eq!(Some(stats.events_processed), report.events_processed);
+        }
+    }
+
+    #[test]
     fn free_motion_baseline_completes_with_fewer_or_equal_moves() {
         let cfg = workloads::rectangle_instance(3, 2, 4);
         let constrained = ReconfigurationDriver::new(cfg.clone()).run_des();
@@ -473,64 +543,5 @@ mod tests {
             free.elementary_moves(),
             constrained.elementary_moves()
         );
-    }
-}
-
-#[cfg(test)]
-mod debug_tests {
-    use super::*;
-    use crate::workloads;
-
-    #[test]
-    #[ignore]
-    fn debug_trace_rectangle() {
-        let cfg = workloads::rectangle_instance(3, 2, 4);
-        println!("initial:\n{}", cfg.to_ascii());
-        let algo = crate::election::AlgorithmConfig {
-            max_iterations: 40,
-            tie_break: crate::election::TieBreak::LowestId,
-            ..Default::default()
-        };
-        let report = ReconfigurationDriver::new(cfg)
-            .with_algorithm(algo)
-            .with_frames()
-            .run_des();
-        for (i, rec) in report.move_log.iter().enumerate() {
-            println!(
-                "hop {:>3} iter {:>3} rule {:<18} moves {:?}",
-                i,
-                rec.iteration,
-                report.rule_name(rec),
-                rec.moves
-            );
-        }
-        println!("final:\n{}", report.final_ascii);
-        println!("{report}");
-    }
-
-    #[test]
-    #[ignore]
-    fn debug_trace_free() {
-        let cfg = workloads::rectangle_instance(3, 2, 4);
-        let algo = crate::election::AlgorithmConfig {
-            max_iterations: 40,
-            tie_break: crate::election::TieBreak::LowestId,
-            ..Default::default()
-        };
-        let report = ReconfigurationDriver::new(cfg)
-            .with_algorithm(algo)
-            .with_motion_model(crate::world::MotionModel::FreeMotion)
-            .run_des();
-        for (i, rec) in report.move_log.iter().enumerate() {
-            println!(
-                "hop {:>3} iter {:>3} rule {:<18} moves {:?}",
-                i,
-                rec.iteration,
-                report.rule_name(rec),
-                rec.moves
-            );
-        }
-        println!("final:\n{}", report.final_ascii);
-        println!("{report}");
     }
 }

@@ -10,89 +10,122 @@
 use crate::messages::MsgKind;
 use std::fmt;
 
-/// Counters accumulated by the shared world during a run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Metrics {
+/// Declares [`Metrics`] from one table of `field => "display label"`
+/// entries: the struct field, [`Metrics::merge`] and
+/// [`Metrics::counters`] all come from the one line per counter.
+macro_rules! metrics_table {
+    ($($(#[$doc:meta])* $field:ident => $label:literal,)*) => {
+        /// Counters accumulated by the shared world during a run.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        /// Number of counters in [`Metrics`].
+        const COUNTERS: usize = [$($label),*].len();
+
+        impl Metrics {
+            /// Every counter as `(display label, value)`, in table order.
+            pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+                [$(($label, self.$field)),*]
+            }
+
+            /// Merges another metrics record into this one (used when
+            /// aggregating across repetitions in the benches).
+            pub fn merge(&mut self, other: &Metrics) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Every counter, writable, in table order.
+            #[cfg(test)]
+            fn counters_mut(&mut self) -> [&mut u64; COUNTERS] {
+                [$(&mut self.$field),*]
+            }
+        }
+    };
+}
+
+metrics_table! {
     /// Number of elections (iterations of Algorithm 1) started.
-    pub elections: u64,
+    elections => "elections",
     /// Number of `Activate` messages sent.
-    pub activate_msgs: u64,
+    activate_msgs => "activate",
     /// Number of `Ack` messages sent.
-    pub ack_msgs: u64,
+    ack_msgs => "ack",
     /// Number of `Select` messages sent (including forwarding hops).
-    pub select_msgs: u64,
+    select_msgs => "select",
     /// Number of `SelectAck` messages sent (including forwarding hops).
-    pub select_ack_msgs: u64,
+    select_ack_msgs => "select-ack",
     /// Number of distance computations (Eqs. 8–10 evaluations).
-    pub distance_computations: u64,
+    distance_computations => "distance-computations",
     /// Number of elementary block moves executed (a carrying motion that
     /// displaces two blocks counts as two moves, matching the "55 block
     /// moves" accounting of the paper's example).
-    pub elementary_moves: u64,
+    elementary_moves => "elementary-moves",
     /// Number of hops performed by elected blocks (one per successful
     /// iteration).
-    pub elected_hops: u64,
+    elected_hops => "elected-hops",
     /// Number of motion-rule applicability checks performed by the
     /// planner on behalf of blocks.
-    pub rule_checks: u64,
+    rule_checks => "rule-checks",
     /// Number of protocol messages that could not be handled by their
     /// recipient (e.g. a `Select` reaching an engaged block with no
     /// recorded best-candidate link, or a replayed `Ack` the idempotency
     /// guards rejected).  Such anomalies are answered so the Root stalls
     /// cleanly instead of hanging; a non-zero count flags a routing bug,
     /// message duplication or reordering worth investigating.
-    pub protocol_drops: u64,
+    protocol_drops => "protocol-drops",
     /// Number of payload retransmissions performed by the reliable
     /// delivery layer (zero when reliability is off or the network is
     /// healthy enough that every first transmission is acked in time).
-    pub retransmissions: u64,
+    retransmissions => "retransmissions",
     /// Number of received payload copies the reliability layer's
     /// anti-replay window suppressed (network duplicates and
     /// retransmissions whose original also arrived).
-    pub duplicates_suppressed: u64,
+    duplicates_suppressed => "duplicates-suppressed",
     /// Number of transport-level `DeliveryAck`s sent by the reliable
     /// delivery layer.  Not part of [`Metrics::total_messages`], which
     /// counts protocol messages only — this is the measured *overhead*
     /// of reliability.
-    pub delivery_acks: u64,
+    delivery_acks => "delivery-acks",
     /// Number of messages abandoned after exhausting the retry budget;
     /// each converts the run into a clean `Stalled` outcome instead of a
     /// silent hang.
-    pub delivery_failures: u64,
+    delivery_failures => "delivery-failures",
     /// Number of full Tarjan passes the world's connectivity oracle ran
     /// (one per world state whose occupancy delta could not be absorbed
     /// by an incremental block-cut-tree patch).
-    pub connectivity_rebuilds: u64,
+    connectivity_rebuilds => "connectivity-rebuilds",
     /// Number of Remark 1 admission probes the world's connectivity
     /// oracle could *not* answer in O(1) from its block-cut-tree state
     /// and routed to the O(N) scratch BFS.  ~0 on the standard families:
     /// the regression signal that a probe shape fell off the fast path.
-    pub connectivity_fallback_probes: u64,
+    connectivity_fallback_probes => "connectivity-fallback-probes",
     /// Number of occupancy epochs the world's connectivity oracle
     /// absorbed incrementally (O(1) light-layer sync or leaf patch)
     /// instead of rebuilding.  Together with `connectivity_rebuilds`
     /// this accounts for every synchronised epoch.
-    pub connectivity_incremental_updates: u64,
+    connectivity_incremental_updates => "connectivity-incremental-updates",
     /// Number of rounds in which a Root started (or restarted) an
     /// election — 1 on an undisturbed rounds-enabled run, higher when a
     /// crash or a round-skip deadline forced re-elections.  Zero with
     /// rounds disabled.
-    pub rounds_started: u64,
+    rounds_started => "rounds-started",
     /// Number of round-skip deadlines that expired on a block whose
     /// election had made no progress, abandoning the stalled round.
-    pub round_skips: u64,
+    round_skips => "round-skips",
     /// Number of future-round messages evicted from a block's bounded
     /// out-of-order cache (the cache was full; the oldest entry degraded
     /// to a counted drop instead of unbounded memory).
-    pub round_cache_evictions: u64,
+    round_cache_evictions => "round-cache-evictions",
     /// Number of `RoundSync` catch-up messages sent (replies to
     /// stale-round `Activate`s; zero with rounds disabled).
-    pub round_sync_msgs: u64,
+    round_sync_msgs => "round-sync-msgs",
     /// Number of module crashes injected by a fault plan during the run.
-    pub crashes_injected: u64,
+    crashes_injected => "crashes-injected",
     /// Number of crashed modules that rejoined (fresh election state,
     /// re-entered the protocol) during the run.
-    pub rejoins: u64,
+    rejoins => "rejoins",
 }
 
 impl Metrics {
@@ -115,35 +148,11 @@ impl Metrics {
             MsgKind::RoundSync => self.round_sync_msgs += 1,
         }
     }
-
-    /// Merges another metrics record into this one (used when aggregating
-    /// across repetitions in the benches).
-    pub fn merge(&mut self, other: &Metrics) {
-        self.elections += other.elections;
-        self.activate_msgs += other.activate_msgs;
-        self.ack_msgs += other.ack_msgs;
-        self.select_msgs += other.select_msgs;
-        self.select_ack_msgs += other.select_ack_msgs;
-        self.distance_computations += other.distance_computations;
-        self.elementary_moves += other.elementary_moves;
-        self.elected_hops += other.elected_hops;
-        self.rule_checks += other.rule_checks;
-        self.protocol_drops += other.protocol_drops;
-        self.retransmissions += other.retransmissions;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        self.delivery_acks += other.delivery_acks;
-        self.delivery_failures += other.delivery_failures;
-        self.connectivity_rebuilds += other.connectivity_rebuilds;
-        self.connectivity_fallback_probes += other.connectivity_fallback_probes;
-        self.connectivity_incremental_updates += other.connectivity_incremental_updates;
-        self.rounds_started += other.rounds_started;
-        self.round_skips += other.round_skips;
-        self.round_cache_evictions += other.round_cache_evictions;
-        self.round_sync_msgs += other.round_sync_msgs;
-        self.crashes_injected += other.crashes_injected;
-        self.rejoins += other.rejoins;
-    }
 }
+
+/// Table entries [`Metrics`]'s `Display` always prints in its header line;
+/// every later counter is printed only when nonzero.
+const HEADER_COUNTERS: usize = 8;
 
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -161,55 +170,10 @@ impl fmt::Display for Metrics {
             self.elementary_moves,
             self.elected_hops,
         )?;
-        if self.protocol_drops > 0 {
-            write!(f, " protocol-drops={}", self.protocol_drops)?;
-        }
-        if self.retransmissions > 0 {
-            write!(f, " retransmissions={}", self.retransmissions)?;
-        }
-        if self.duplicates_suppressed > 0 {
-            write!(f, " duplicates-suppressed={}", self.duplicates_suppressed)?;
-        }
-        if self.delivery_acks > 0 {
-            write!(f, " delivery-acks={}", self.delivery_acks)?;
-        }
-        if self.delivery_failures > 0 {
-            write!(f, " delivery-failures={}", self.delivery_failures)?;
-        }
-        if self.connectivity_rebuilds > 0 {
-            write!(f, " connectivity-rebuilds={}", self.connectivity_rebuilds)?;
-        }
-        if self.connectivity_fallback_probes > 0 {
-            write!(
-                f,
-                " connectivity-fallback-probes={}",
-                self.connectivity_fallback_probes
-            )?;
-        }
-        if self.connectivity_incremental_updates > 0 {
-            write!(
-                f,
-                " connectivity-incremental-updates={}",
-                self.connectivity_incremental_updates
-            )?;
-        }
-        if self.rounds_started > 0 {
-            write!(f, " rounds-started={}", self.rounds_started)?;
-        }
-        if self.round_skips > 0 {
-            write!(f, " round-skips={}", self.round_skips)?;
-        }
-        if self.round_cache_evictions > 0 {
-            write!(f, " round-cache-evictions={}", self.round_cache_evictions)?;
-        }
-        if self.round_sync_msgs > 0 {
-            write!(f, " round-sync-msgs={}", self.round_sync_msgs)?;
-        }
-        if self.crashes_injected > 0 {
-            write!(f, " crashes-injected={}", self.crashes_injected)?;
-        }
-        if self.rejoins > 0 {
-            write!(f, " rejoins={}", self.rejoins)?;
+        for (label, value) in &self.counters()[HEADER_COUNTERS..] {
+            if *value > 0 {
+                write!(f, " {label}={value}")?;
+            }
         }
         Ok(())
     }
@@ -236,21 +200,15 @@ mod tests {
 
     #[test]
     fn merge_adds_counters() {
-        let mut a = Metrics {
-            elections: 1,
-            elementary_moves: 3,
-            ..Metrics::default()
-        };
-        let b = Metrics {
-            elections: 2,
-            elementary_moves: 4,
-            distance_computations: 7,
-            ..Metrics::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.elections, 3);
-        assert_eq!(a.elementary_moves, 7);
-        assert_eq!(a.distance_computations, 7);
+        let mut a = Metrics::default();
+        for (i, counter) in a.counters_mut().into_iter().enumerate() {
+            *counter = i as u64 + 1;
+        }
+        let before = a.counters();
+        a.merge(&a.clone());
+        for ((label, merged), (_, value)) in a.counters().into_iter().zip(before) {
+            assert_eq!(merged, 2 * value, "{label} doubled");
+        }
     }
 
     #[test]
@@ -263,5 +221,16 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("elections=5"));
         assert!(text.contains("elementary-moves=55"));
+        assert!(!text.contains("rejoins="), "zero tail counters stay hidden");
+        assert!(!text.contains("rule-checks="));
+
+        let m = Metrics {
+            rule_checks: 9,
+            rejoins: 2,
+            ..m
+        };
+        let text = m.to_string();
+        assert!(text.contains(" rule-checks=9"), "{text}");
+        assert!(text.ends_with(" rejoins=2"), "{text}");
     }
 }

@@ -27,7 +27,9 @@
 //! (see the [`crate::reliability`] module docs for the protocol).
 //!
 //! The harness implements both `sb_desim::BlockCode` and
-//! `sb_actor::Actor`, so the two build functions register the *same*
+//! `sb_actor::Actor`, so the driver's two deployments,
+//! [`crate::ReconfigurationDriver::des_simulation`] and
+//! [`crate::ReconfigurationDriver::actor_system`], register the *same*
 //! type; any future runtime only needs a `Transport` shim.
 //!
 //! ## Crash/rejoin fault model and the round-skip watchdog
@@ -68,21 +70,21 @@
 //! `delivery_failures`) and re-election recovers; with rounds disabled
 //! the historical stall-and-stop behaviour is bit-for-bit unchanged.
 
-use crate::election::{Action, ActionSink, AlgorithmConfig, ElectionCore};
+use crate::election::{Action, ActionSink, ElectionCore};
 use crate::messages::Msg;
 use crate::reliability::{
     split_tag, timer_tag, Deliver, Envelope, ReliabilityConfig, ReliabilityState, TimerVerdict,
 };
 use crate::world::{Outcome, SurfaceWorld};
-use sb_actor::{Actor, ActorContext, ActorId, ActorSystem};
-use sb_desim::{BlockCode, Context, Duration as SimDuration, ModuleId, NetworkModel, Simulator};
+use sb_actor::{Actor, ActorContext, ActorId};
+use sb_desim::{BlockCode, Context, Duration as SimDuration, ModuleId};
 
 pub use sb_desim::Color;
 
 /// Marks the control-timer tag namespace (crash, rejoin, round skip).
 /// Reliability retransmission tags are `(peer << 32) | seq` with `peer`
 /// a module index, so bit 63 is never set on them.
-const CONTROL_BIT: u64 = 1 << 63;
+pub(crate) const CONTROL_BIT: u64 = 1 << 63;
 
 /// Timer tag of the round-skip watchdog deadline.
 pub const TAG_ROUND_SKIP: u64 = CONTROL_BIT | 1;
@@ -128,7 +130,12 @@ pub struct FaultInjection {
 impl FaultInjection {
     /// Resolves the victim to a module index given the module order and
     /// the Root's position in it.
-    fn victim_index(&self, module_count: usize, root_index: usize, sim_seed: u64) -> usize {
+    pub(crate) fn victim_index(
+        &self,
+        module_count: usize,
+        root_index: usize,
+        sim_seed: u64,
+    ) -> usize {
         match self.victim {
             FaultVictim::Root => root_index,
             FaultVictim::SeededRelay => {
@@ -589,136 +596,13 @@ impl Actor<Envelope, SurfaceWorld> for BlockHarness {
     }
 }
 
-/// Builds a ready-to-run discrete-event simulation of the distributed
-/// algorithm: one module per block, the Root being the block occupying the
-/// input cell.
-///
-/// The harnesses are stored in the simulator's **monomorphic module
-/// arena** (`Simulator<_, _, BlockHarness>`): a dense `Vec<BlockHarness>`
-/// with no per-module heap indirection, so the hot dispatch loop compiles
-/// to direct calls.
-pub fn build_des_simulation(
-    world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    network: NetworkModel,
-    sim_seed: u64,
-    reliability: ReliabilityConfig,
-) -> Simulator<Envelope, SurfaceWorld, BlockHarness> {
-    build_des_simulation_with_faults(world, algorithm, network, sim_seed, reliability, None)
-}
-
-/// [`build_des_simulation`] plus an optional crash/rejoin injection: the
-/// victim is resolved against the concrete world (Root, or a
-/// seed-deterministic relay), its harness gets the [`FaultSchedule`] as
-/// control timers, and the kernel gets a matching
-/// [`sb_desim::FaultPlan`] so in-flight events addressed to the dead
-/// window are dropped (and counted) instead of delivered.
-pub fn build_des_simulation_with_faults(
-    mut world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    network: NetworkModel,
-    sim_seed: u64,
-    reliability: ReliabilityConfig,
-    faults: Option<FaultInjection>,
-) -> Simulator<Envelope, SurfaceWorld, BlockHarness> {
-    let (harnesses, victim) = block_harnesses(&mut world, algorithm, reliability, sim_seed, faults);
-    let mut sim = Simulator::new(world)
-        .with_network(network)
-        .with_seed(sim_seed);
-    if let Some((index, schedule)) = victim {
-        let plan = sb_desim::FaultPlan::new()
-            .with_control_tag_mask(CONTROL_BIT)
-            .with_window(
-                index,
-                sb_desim::SimTime(schedule.crash_at_us),
-                schedule.rejoin_at_us.map(sb_desim::SimTime),
-            );
-        sim = sim.with_fault_plan(plan);
-    }
-    for harness in harnesses {
-        sim.add(harness);
-    }
-    sim
-}
-
-/// Builds a ready-to-run threaded actor system of the distributed
-/// algorithm (one OS thread per block).
-pub fn build_actor_system(
-    world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    reliability: ReliabilityConfig,
-) -> ActorSystem<Envelope, SurfaceWorld> {
-    build_actor_system_with_faults(world, algorithm, reliability, 0, None)
-}
-
-/// [`build_actor_system`] plus an optional crash/rejoin injection.  The
-/// victim is resolved exactly as on the DES (`sim_seed` feeds the
-/// seeded-relay pick); the fault lifecycle runs entirely in the harness
-/// (wall-clock control timers), since the threaded runtime has no kernel
-/// to drop in-flight deliveries — the dead harness simply ignores them.
-pub fn build_actor_system_with_faults(
-    mut world: SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    reliability: ReliabilityConfig,
-    sim_seed: u64,
-    faults: Option<FaultInjection>,
-) -> ActorSystem<Envelope, SurfaceWorld> {
-    let (harnesses, _) = block_harnesses(&mut world, algorithm, reliability, sim_seed, faults);
-    let mut system = ActorSystem::new(world);
-    for harness in harnesses {
-        system.add_actor(harness);
-    }
-    system
-}
-
-/// What both runtime builders derive from the world: one harness per
-/// block in module order (block ids ascending, installed as the world's
-/// module mapping), the Root resolved from the input cell, and the fault
-/// victim's module index and schedule, whose harness already carries
-/// that schedule.
-fn block_harnesses(
-    world: &mut SurfaceWorld,
-    algorithm: AlgorithmConfig,
-    reliability: ReliabilityConfig,
-    sim_seed: u64,
-    faults: Option<FaultInjection>,
-) -> (Vec<BlockHarness>, Option<(usize, FaultSchedule)>) {
-    let order = world.grid().block_ids_sorted();
-    world.set_module_mapping(order.clone());
-    let root = world
-        .root_block()
-        .expect("Assumption 2: a Root block occupies the input cell");
-    let root_index = order
-        .iter()
-        .position(|&b| b == root)
-        .expect("the Root is in the module order");
-    let victim = faults.map(|f| {
-        (
-            f.victim_index(order.len(), root_index, sim_seed),
-            f.schedule,
-        )
-    });
-    let harnesses = order
-        .into_iter()
-        .enumerate()
-        .map(|(i, block)| {
-            let core = ElectionCore::new(block, block == root, algorithm);
-            let harness = BlockHarness::with_reliability(core, reliability);
-            match victim {
-                Some((index, schedule)) if i == index => harness.with_fault(schedule),
-                _ => harness,
-            }
-        })
-        .collect();
-    (harnesses, victim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::election::TieBreak;
+    use crate::driver::ReconfigurationDriver;
+    use crate::election::{AlgorithmConfig, TieBreak};
     use crate::world::Outcome;
-    use sb_desim::LatencyModel;
+    use sb_desim::{LatencyModel, ModuleId, NetworkModel};
     use sb_grid::SurfaceConfig;
 
     fn small_config() -> SurfaceConfig {
@@ -733,16 +617,16 @@ mod tests {
         .unwrap()
     }
 
+    /// The driver deploying [`small_config`] with `algorithm` and `seed`.
+    fn driver(algorithm: AlgorithmConfig, seed: u64) -> ReconfigurationDriver {
+        ReconfigurationDriver::new(small_config())
+            .with_algorithm(algorithm)
+            .with_seed(seed)
+    }
+
     #[test]
     fn des_simulation_builds_and_completes_on_a_small_instance() {
-        let world = SurfaceWorld::standard(small_config());
-        let mut sim = build_des_simulation(
-            world,
-            AlgorithmConfig::default(),
-            NetworkModel::default(),
-            7,
-            ReliabilityConfig::off(),
-        );
+        let mut sim = driver(AlgorithmConfig::default(), 7).des_simulation();
         assert_eq!(sim.module_count(), 5);
         sim.run_until_idle();
         let world = sim.world();
@@ -752,9 +636,7 @@ mod tests {
 
     #[test]
     fn actor_system_builds_and_completes_on_a_small_instance() {
-        let world = SurfaceWorld::standard(small_config());
-        let system =
-            build_actor_system(world, AlgorithmConfig::default(), ReliabilityConfig::off());
+        let system = driver(AlgorithmConfig::default(), 0).actor_system();
         assert_eq!(system.actor_count(), 5);
         let report = system.run(std::time::Duration::from_secs(30));
         assert!(report.stopped, "algorithm must terminate, not time out");
@@ -775,14 +657,7 @@ mod tests {
             ..AlgorithmConfig::default()
         };
 
-        let world = SurfaceWorld::standard(small_config());
-        let mut sim = build_des_simulation(
-            world,
-            algorithm,
-            NetworkModel::default(),
-            7,
-            ReliabilityConfig::off(),
-        );
+        let mut sim = driver(algorithm, 7).des_simulation();
         sim.run_until_idle();
         let des_colors: Vec<(u8, u8, u8)> = (0..sim.module_count())
             .map(|i| {
@@ -791,8 +666,7 @@ mod tests {
             })
             .collect();
 
-        let world = SurfaceWorld::standard(small_config());
-        let system = build_actor_system(world, algorithm, ReliabilityConfig::off());
+        let system = driver(algorithm, 0).actor_system();
         let report = system.run(std::time::Duration::from_secs(60));
         assert!(report.stopped);
 
@@ -814,14 +688,9 @@ mod tests {
     #[test]
     fn reliability_on_a_healthy_network_completes_without_retransmissions() {
         let run = |reliability: ReliabilityConfig| {
-            let world = SurfaceWorld::standard(small_config());
-            let mut sim = build_des_simulation(
-                world,
-                AlgorithmConfig::default(),
-                NetworkModel::default(),
-                7,
-                reliability,
-            );
+            let mut sim = driver(AlgorithmConfig::default(), 7)
+                .with_reliability(reliability)
+                .des_simulation();
             sim.run_until_idle();
             (
                 sim.world().outcome(),
@@ -855,14 +724,9 @@ mod tests {
             latency: LatencyModel::Fixed(SimDuration::micros(10)),
             drop_permille: 200,
         };
-        let world = SurfaceWorld::standard(small_config());
-        let mut raw = build_des_simulation(
-            world,
-            AlgorithmConfig::default(),
-            lossy,
-            3,
-            ReliabilityConfig::off(),
-        );
+        let mut raw = driver(AlgorithmConfig::default(), 3)
+            .with_network(lossy)
+            .des_simulation();
         raw.run_until_idle();
         assert_eq!(
             raw.world().outcome(),
@@ -870,14 +734,10 @@ mod tests {
             "20% loss deadlocks the raw protocol on this seed"
         );
 
-        let world = SurfaceWorld::standard(small_config());
-        let mut reliable = build_des_simulation(
-            world,
-            AlgorithmConfig::default(),
-            lossy,
-            3,
-            ReliabilityConfig::on(),
-        );
+        let mut reliable = driver(AlgorithmConfig::default(), 3)
+            .with_network(lossy)
+            .with_reliability(ReliabilityConfig::on())
+            .des_simulation();
         reliable.run_until_idle();
         assert_eq!(reliable.world().outcome(), Some(Outcome::Completed));
         assert!(reliable.world().path_complete());
@@ -992,14 +852,10 @@ mod tests {
             },
             dup_permille: 1000,
         };
-        let world = SurfaceWorld::standard(small_config());
-        let mut sim = build_des_simulation(
-            world,
-            AlgorithmConfig::default(),
-            duplicating,
-            5,
-            ReliabilityConfig::on(),
-        );
+        let mut sim = driver(AlgorithmConfig::default(), 5)
+            .with_network(duplicating)
+            .with_reliability(ReliabilityConfig::on())
+            .des_simulation();
         sim.run_until_idle();
         assert_eq!(sim.world().outcome(), Some(Outcome::Completed));
         assert!(sim.world().path_complete());
@@ -1020,14 +876,10 @@ mod tests {
             latency: LatencyModel::Fixed(SimDuration::micros(10)),
             drop_permille: 1000,
         };
-        let world = SurfaceWorld::standard(small_config());
-        let mut sim = build_des_simulation(
-            world,
-            AlgorithmConfig::default(),
-            black_hole,
-            1,
-            ReliabilityConfig::on(),
-        );
+        let mut sim = driver(AlgorithmConfig::default(), 1)
+            .with_network(black_hole)
+            .with_reliability(ReliabilityConfig::on())
+            .des_simulation();
         sim.run_until_idle();
         assert!(sim.is_stopped(), "the exhaustion path stops the run");
         assert_eq!(sim.world().outcome(), Some(Outcome::Stalled));
@@ -1064,7 +916,6 @@ mod tests {
     /// crash/rejoin/round counters.
     #[test]
     fn root_crash_and_rejoin_still_completes_with_rounds_on() {
-        let world = SurfaceWorld::standard(small_config());
         let faults = FaultInjection {
             victim: FaultVictim::Root,
             schedule: FaultSchedule {
@@ -1072,14 +923,10 @@ mod tests {
                 rejoin_at_us: Some(2_000),
             },
         };
-        let mut sim = build_des_simulation_with_faults(
-            world,
-            recovery_algorithm(),
-            NetworkModel::default(),
-            7,
-            fast_reliability(),
-            Some(faults),
-        );
+        let mut sim = driver(recovery_algorithm(), 7)
+            .with_reliability(fast_reliability())
+            .with_faults(Some(faults))
+            .des_simulation();
         sim.run_until_idle();
         assert!(sim.is_stopped(), "the run terminates by itself");
         assert_eq!(sim.world().outcome(), Some(Outcome::Completed));
@@ -1098,7 +945,6 @@ mod tests {
     /// declines, round skips, or at worst the max-rounds valve.
     #[test]
     fn permanent_relay_crash_terminates_cleanly() {
-        let world = SurfaceWorld::standard(small_config());
         let faults = FaultInjection {
             victim: FaultVictim::SeededRelay,
             schedule: FaultSchedule {
@@ -1106,14 +952,10 @@ mod tests {
                 rejoin_at_us: None,
             },
         };
-        let mut sim = build_des_simulation_with_faults(
-            world,
-            recovery_algorithm(),
-            NetworkModel::default(),
-            7,
-            fast_reliability(),
-            Some(faults),
-        );
+        let mut sim = driver(recovery_algorithm(), 7)
+            .with_reliability(fast_reliability())
+            .with_faults(Some(faults))
+            .des_simulation();
         sim.run_until_idle();
         assert!(sim.is_stopped(), "no silent hang");
         assert!(sim.world().outcome().is_some(), "a clean conclusion");
@@ -1126,7 +968,6 @@ mod tests {
     /// the round layer.
     #[test]
     fn root_crash_without_rounds_does_not_complete() {
-        let world = SurfaceWorld::standard(small_config());
         let faults = FaultInjection {
             victim: FaultVictim::Root,
             schedule: FaultSchedule {
@@ -1138,14 +979,10 @@ mod tests {
             tie_break: TieBreak::LowestId,
             ..AlgorithmConfig::default()
         };
-        let mut sim = build_des_simulation_with_faults(
-            world,
-            algorithm,
-            NetworkModel::default(),
-            7,
-            fast_reliability(),
-            Some(faults),
-        );
+        let mut sim = driver(algorithm, 7)
+            .with_reliability(fast_reliability())
+            .with_faults(Some(faults))
+            .des_simulation();
         sim.run_until_idle();
         assert_ne!(
             sim.world().outcome(),
@@ -1158,7 +995,6 @@ mod tests {
     /// messages addressed to the dead window are dropped and counted.
     #[test]
     fn dead_window_drops_are_counted_in_sim_stats() {
-        let world = SurfaceWorld::standard(small_config());
         let faults = FaultInjection {
             victim: FaultVictim::Root,
             schedule: FaultSchedule {
@@ -1166,14 +1002,10 @@ mod tests {
                 rejoin_at_us: Some(2_000),
             },
         };
-        let mut sim = build_des_simulation_with_faults(
-            world,
-            recovery_algorithm(),
-            NetworkModel::default(),
-            7,
-            fast_reliability(),
-            Some(faults),
-        );
+        let mut sim = driver(recovery_algorithm(), 7)
+            .with_reliability(fast_reliability())
+            .with_faults(Some(faults))
+            .des_simulation();
         let stats = sim.run_until_idle();
         assert!(
             stats.messages_dropped_dead > 0,

@@ -25,9 +25,8 @@
 //!   seeded per-link RNG streams so that every run is reproducible;
 //! * **statistics** (events processed, messages sent, wall-clock
 //!   throughput) used to reproduce the events/second figure of the paper;
-//! * block **colours** and a trace buffer, mirroring the debugging
-//!   facilities the authors describe (changing block colours, writing
-//!   debug text).
+//! * block **colours**, mirroring the debugging facility the authors
+//!   describe (changing block colours).
 //!
 //! The simulator is deliberately independent from the Smart Blocks domain:
 //! `M` (message type) and `W` (world type) are generic parameters, and the
@@ -74,7 +73,6 @@ pub mod network;
 pub mod sim;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use event::EventKind;
 pub use fault::{FaultPlan, FaultWindow};
@@ -84,4 +82,3 @@ pub use network::NetworkModel;
 pub use sim::{Context, Simulator};
 pub use stats::SimStats;
 pub use time::{Duration, SimTime};
-pub use trace::{TraceBuffer, TraceEntry};

@@ -35,8 +35,7 @@ use std::collections::HashMap; // sb-allow: nondet-iteration — keyed access on
 /// module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetworkModel {
-    /// Every link samples the same latency model; no faults.  This is the
-    /// historical behaviour of [`crate::Simulator::with_latency`].
+    /// Every link samples the same latency model; no faults.
     Uniform(LatencyModel),
     /// Each directed link gets its own *constant* delay, drawn
     /// log-uniformly from `[min, max]` by the link's seed hash.  With

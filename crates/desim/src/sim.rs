@@ -20,12 +20,10 @@
 
 use crate::event::{Event, EventKind};
 use crate::fault::FaultPlan;
-use crate::latency::LatencyModel;
 use crate::module::{BlockCode, Color, ModuleId};
 use crate::network::{NetworkModel, NetworkState};
 use crate::stats::SimStats;
 use crate::time::{Duration, SimTime};
-use crate::trace::{TraceBuffer, TraceEntry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BinaryHeap;
@@ -43,7 +41,6 @@ struct Kernel<M, W> {
     rng: SmallRng,
     colors: Vec<Color>,
     stats: SimStats,
-    trace: TraceBuffer,
     stop_requested: bool,
     /// Scheduled per-module dead windows; `None` (the default) costs the
     /// hot dispatch path a single branch.
@@ -66,8 +63,8 @@ impl<M, W> Kernel<M, W> {
 /// The execution context handed to a block code while it processes an
 /// event.  It is the only way a block interacts with the rest of the
 /// system: sending messages, arming timers, reading and mutating the
-/// shared world, changing its colour, writing trace text or requesting
-/// the whole simulation to stop.
+/// shared world, changing its colour or requesting the whole simulation
+/// to stop.
 pub struct Context<'a, M, W> {
     kernel: &'a mut Kernel<M, W>,
     me: ModuleId,
@@ -117,19 +114,6 @@ impl<'a, M, W> Context<'a, M, W> {
     /// Changes the module's colour (debugging aid).
     pub fn set_color(&mut self, color: Color) {
         self.kernel.colors[self.me.index()] = color;
-    }
-
-    /// Appends a trace record (no-op unless tracing was enabled on the
-    /// simulator).
-    pub fn trace(&mut self, message: impl Into<String>) {
-        if self.kernel.trace.is_enabled() {
-            let entry = TraceEntry {
-                time: self.kernel.now,
-                module: Some(self.me),
-                message: message.into(),
-            };
-            self.kernel.trace.push(entry);
-        }
     }
 
     /// Uniform random integer in `0..n` from the simulator's seeded RNG
@@ -220,17 +204,10 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
                 rng: SmallRng::seed_from_u64(0xD15C0),
                 colors: Vec::new(),
                 stats: SimStats::default(),
-                trace: TraceBuffer::disabled(),
                 stop_requested: false,
                 faults: None,
             },
         }
-    }
-
-    /// Sets a uniform message latency model on every link (builder
-    /// style); shorthand for `with_network(NetworkModel::Uniform(..))`.
-    pub fn with_latency(self, latency: LatencyModel) -> Self {
-        self.with_network(NetworkModel::Uniform(latency))
     }
 
     /// Sets the per-link network model (builder style).
@@ -245,12 +222,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.kernel.rng = SmallRng::seed_from_u64(seed);
         self.kernel.network.reseed(network_seed(seed));
-        self
-    }
-
-    /// Enables the trace buffer with the given capacity (builder style).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> Self {
-        self.kernel.trace = TraceBuffer::with_capacity(capacity);
         self
     }
 
@@ -313,11 +284,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
     /// Current colour of a module.
     pub fn color_of(&self, id: ModuleId) -> Color {
         self.kernel.colors[id.index()]
-    }
-
-    /// The trace buffer.
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.kernel.trace
     }
 
     /// Whether no event (start-up callbacks included) is pending.
@@ -465,6 +431,7 @@ fn network_seed(seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::LatencyModel;
 
     /// Toy protocol: a token is passed around a ring `rounds` times, then
     /// the last holder requests a stop.
@@ -472,7 +439,8 @@ mod tests {
         next: ModuleId,
         is_initiator: bool,
         remaining: u32,
-        received: u32,
+        /// Simulated time of every token delivery to this node.
+        deliveries: Vec<SimTime>,
     }
 
     impl BlockCode<u32, Vec<ModuleId>> for RingNode {
@@ -491,9 +459,8 @@ mod tests {
             hops: u32,
             ctx: &mut Context<'_, u32, Vec<ModuleId>>,
         ) {
-            self.received += 1;
+            self.deliveries.push(ctx.now());
             ctx.set_color(Color::GREEN);
-            ctx.trace(format!("token with {hops} hops left"));
             if hops == 0 {
                 ctx.request_stop();
             } else {
@@ -504,16 +471,24 @@ mod tests {
     }
 
     fn build_ring(n: usize, rounds: u32) -> Simulator<u32, Vec<ModuleId>, RingNode> {
-        let mut sim = Simulator::new(Vec::new()).with_trace_capacity(64);
+        let mut sim = Simulator::new(Vec::new());
         for i in 0..n {
             sim.add(RingNode {
                 next: ModuleId((i + 1) % n),
                 is_initiator: i == 0,
                 remaining: rounds,
-                received: 0,
+                deliveries: Vec::new(),
             });
         }
         sim
+    }
+
+    /// Every node's recorded token deliveries, node by node.
+    fn deliveries(sim: &Simulator<u32, Vec<ModuleId>, RingNode>) -> Vec<SimTime> {
+        (0..sim.module_count())
+            .filter_map(|i| sim.module(ModuleId(i)))
+            .flat_map(|node| node.deliveries.iter().copied())
+            .collect()
     }
 
     #[test]
@@ -537,25 +512,22 @@ mod tests {
         assert_eq!(sim.world().len(), 5);
         // Colours of visited modules were changed.
         assert_eq!(sim.color_of(ModuleId(1)), Color::GREEN);
-        // The trace captured the token hops.
-        assert!(sim
-            .trace()
-            .entries()
-            .iter()
-            .any(|e| e.message.contains("hops left")));
+        // Every token hop was delivered to, and recorded by, a node.
+        assert_eq!(deliveries(&sim).len(), 13);
     }
 
     #[test]
     fn identical_seeds_give_identical_runs() {
         let run = |seed| {
             let mut sim = build_ring(4, 20);
-            sim = sim.with_seed(seed).with_latency(LatencyModel::Uniform {
-                min: Duration::micros(1),
-                max: Duration::micros(100),
-            });
+            sim = sim
+                .with_seed(seed)
+                .with_network(NetworkModel::Uniform(LatencyModel::Uniform {
+                    min: Duration::micros(1),
+                    max: Duration::micros(100),
+                }));
             sim.run_until_idle();
-            let deliveries: Vec<SimTime> = sim.trace().entries().iter().map(|e| e.time).collect();
-            (sim.now(), sim.stats().events_processed, deliveries)
+            (sim.now(), sim.stats().events_processed, deliveries(&sim))
         };
         assert_eq!(run(11), run(11));
         // A different seed changes the sampled delay sequence (almost
@@ -674,7 +646,7 @@ mod tests {
     #[test]
     fn instant_latency_keeps_time_at_zero() {
         let mut sim = build_ring(4, 8);
-        sim = sim.with_latency(LatencyModel::Instant);
+        sim = sim.with_network(NetworkModel::Uniform(LatencyModel::Instant));
         sim.run_until_idle();
         assert_eq!(sim.now(), SimTime::ZERO);
     }
@@ -744,8 +716,13 @@ mod tests {
         // downcasting needed to read results after a run.
         let mut sim = build_ring(3, 5);
         sim.run_until_idle();
-        let received: u32 = (0..sim.module_count())
-            .map(|i| sim.module(ModuleId(i)).expect("registered").received)
+        let received: usize = (0..sim.module_count())
+            .map(|i| {
+                sim.module(ModuleId(i))
+                    .expect("registered")
+                    .deliveries
+                    .len()
+            })
             .sum();
         assert_eq!(received, 6, "hops 5..=0 delivered around the ring");
     }

@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sb_desim::{BlockCode, Context, Duration, LatencyModel, ModuleId, SimTime, Simulator};
+use sb_desim::{
+    BlockCode, Context, Duration, LatencyModel, ModuleId, NetworkModel, SimTime, Simulator,
+};
 
 /// Shared world of the flood protocol: adjacency lists plus a receipt log.
 #[derive(Default)]
@@ -90,7 +92,7 @@ fn run_flood(
     };
     let mut sim = Simulator::new(world)
         .with_seed(sim_seed)
-        .with_latency(latency);
+        .with_network(NetworkModel::Uniform(latency));
     for i in 0..n {
         sim.add_module(FloodNode {
             seen: Vec::new(),

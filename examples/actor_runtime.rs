@@ -1,6 +1,7 @@
 //! Run the distributed election on the threaded actor runtime (one OS
 //! thread per block, real asynchrony) and check the outcome agrees with
-//! the deterministic discrete-event run.
+//! the deterministic discrete-event run: the example exits non-zero
+//! unless both runtimes complete with a complete path.
 //!
 //! ```text
 //! cargo run --release --example actor_runtime
@@ -31,9 +32,11 @@ fn main() {
 
     println!("final state (DES):\n{}", des.final_ascii);
     println!("final state (actors):\n{}", actors.final_ascii);
-    println!(
-        "both runtimes completed: {}, both paths complete: {}",
-        des.completed && actors.completed,
-        des.path_complete && actors.path_complete
+    let completed = des.completed && actors.completed;
+    let paths_complete = des.path_complete && actors.path_complete;
+    println!("both runtimes completed: {completed}, both paths complete: {paths_complete}");
+    assert!(
+        completed && paths_complete,
+        "the DES and actor runtimes must both complete with complete paths"
     );
 }

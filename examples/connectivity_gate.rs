@@ -5,10 +5,11 @@
 //! without a BFS fallback and, on the marked cells, stayed under the
 //! full-rebuild ceiling of `2 + epochs/100`.
 //!
-//! The smoke builds the election through `build_des_simulation` at
-//! N = 10⁵ blocks (column and serpentine) and dispatches a bounded
-//! first wave — the 10⁵ start-up events plus the first activation
-//! flood — asserting that every requested step ran.  The paper reports
+//! The smoke deploys the election through
+//! `ReconfigurationDriver::des_simulation` at N = 10⁵ blocks (column
+//! and serpentine) and dispatches a bounded first wave — the 10⁵
+//! start-up events plus the first activation flood — asserting that
+//! every requested step ran.  The paper reports
 //! VisibleSim at "2 millions of nodes at a rate of 650k events/sec"
 //! (Section V.E); the printed rate is the host-dependent counterpart.
 //!
@@ -19,11 +20,7 @@
 
 use sb_bench::Family;
 use sb_core::election::{AlgorithmConfig, TieBreak};
-use sb_core::reliability::ReliabilityConfig;
-use sb_core::runtime::build_des_simulation;
-use sb_core::world::SurfaceWorld;
 use sb_core::ReconfigurationDriver;
-use sb_desim::NetworkModel;
 
 /// Blocks in the large-ensemble smoke.
 const SMOKE_BLOCKS: usize = 100_000;
@@ -130,16 +127,12 @@ fn large_ensemble_smoke() {
         ..AlgorithmConfig::default()
     };
     for family in [Family::Column, Family::Serpentine] {
-        let world = SurfaceWorld::standard(family.build(SMOKE_BLOCKS, 1));
+        let driver = ReconfigurationDriver::new(family.build(SMOKE_BLOCKS, 1))
+            .with_algorithm(algorithm)
+            .with_seed(9);
         // sb-allow: wall-clock-in-sim — stdout-only rate of the smoke run
         let start = std::time::Instant::now();
-        let mut sim = build_des_simulation(
-            world,
-            algorithm,
-            NetworkModel::default(),
-            9,
-            ReliabilityConfig::off(),
-        );
+        let mut sim = driver.des_simulation();
         let steps = sim.run_steps(SMOKE_EVENTS);
         let secs = start.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(

@@ -42,10 +42,10 @@ fn heavy_message_jitter_does_not_break_termination() {
     assert!(reference.completed);
     for seed in [1u64, 7, 23, 99] {
         let jittered = ReconfigurationDriver::new(fig10_instance())
-            .with_latency(LatencyModel::Uniform {
+            .with_network(NetworkModel::Uniform(LatencyModel::Uniform {
                 min: SimDuration::micros(1),
                 max: SimDuration::micros(5_000),
-            })
+            }))
             .with_seed(seed)
             .run_des();
         assert!(jittered.completed, "seed {seed}: {jittered}");
@@ -60,7 +60,7 @@ fn heavy_message_jitter_does_not_break_termination() {
 #[test]
 fn zero_latency_executions_terminate() {
     let report = ReconfigurationDriver::new(column_instance(8, 0))
-        .with_latency(LatencyModel::Instant)
+        .with_network(NetworkModel::Uniform(LatencyModel::Instant))
         .run_des();
     assert!(report.completed, "{report}");
     assert_eq!(
