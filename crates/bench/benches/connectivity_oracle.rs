@@ -14,29 +14,25 @@
 //! probes (the PR 3 acceptance bar — the two must return identical
 //! verdicts, which the harness asserts).
 //!
-//! PR 7 adds the **carrying** probe set: the two-move batches the
-//! catalogue's carrying rules emit — hand-over chains `[(a, d), (b, a)]`
-//! (net effect: one block relocates) and genuine two-cell vacates
-//! `[(a, d1), (b, d2)]` (a separating-pair question on the block-cut
-//! tree).  Before PR 7 every such batch fell through to the BFS; now the
-//! harness asserts batch-for-batch verdict identity *and* pins the
-//! fallback-probe count for hand-over chains on connected instances to
-//! zero, then times `bfs_per_carrying_batch` against `oracle_carrying`.
+//! PR 7 adds the **carrying** probe set: hand-over chains
+//! `[(a, d), (b, a)]`, the shape of every catalogue carrying rule (net
+//! effect: one block relocates), plus genuine two-cell vacates
+//! `[(a, d1), (b, d2)]`, which no catalogue rule emits and the oracle
+//! hands to the BFS.  The harness asserts batch-for-batch verdict
+//! identity over the whole set *and* pins the fallback-probe count for
+//! hand-over chains on connected instances to zero, then times
+//! `bfs_per_carrying_batch` against `oracle_carrying` on the chains.
 //!
-//! PR 9 adds two more sections.  **Back-edge pairs**: two-cell vacates
-//! on a 2-thick serpentine ribbon, where the vacated pair's lateral edge
-//! is usually a DFS *back edge* across a cycle — the geometry that used
-//! to be the pair path's BFS fallback and is now answered by block-cut
-//! tree reasoning (equivalence-asserted, then timed).  **Epoch replay**:
-//! the oracle dragged through a full recorded reconfiguration — probe,
-//! absorb, advance — timing the amortised-O(1) maintenance itself and
-//! reporting rebuilds and incremental absorptions per epoch.
+//! PR 9 adds the **epoch replay**: the oracle dragged through a full
+//! recorded reconfiguration — probe, absorb, advance — timing the
+//! amortised-O(1) maintenance itself and reporting rebuilds and
+//! incremental absorptions per epoch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sb_bench::sweep::Family;
 use sb_core::ReconfigurationDriver;
 use sb_grid::connectivity::{is_connected_after, ConnectivityScratch};
-use sb_grid::{BlockId, Bounds, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
+use sb_grid::{ConnectivityOracle, Pos, SurfaceConfig};
 use std::hint::black_box;
 
 /// The single-block probe set of one world state: every block to each
@@ -68,8 +64,7 @@ fn probe_set(cfg: &SurfaceConfig) -> Vec<(Pos, Pos)> {
 /// adjacent pair `(a, b)`, the hand-over chains `[(a, d), (b, a)]` (the
 /// carried block steps into the carrier's cell — every carrying rule in
 /// the catalogue has this shape) plus the genuine two-cell vacates
-/// `[(a, d1), (b, d2)]` with both destinations free (the separating-pair
-/// question).  Destination fan-out is capped so the set stays
+/// `[(a, d1), (b, d2)]` with both destinations free (the BFS's share).  Destination fan-out is capped so the set stays
 /// O(blocks)-sized across families.
 fn carrying_set(cfg: &SurfaceConfig) -> Vec<[(Pos, Pos); 2]> {
     let grid = cfg.grid();
@@ -97,119 +92,6 @@ fn carrying_set(cfg: &SurfaceConfig) -> Vec<[(Pos, Pos); 2]> {
         }
     }
     batches
-}
-
-/// A 2-thick serpentine ribbon of `runs` west↔east rows joined by
-/// single-cell elbows: inside each thick run the lateral edge between a
-/// vertically adjacent pair is a DFS back edge (the tree reaches both
-/// cells around the cycle), so two-cell vacates here are the back-edge
-/// separating-pair question.
-fn ribbon_board(runs: usize, width: usize) -> OccupancyGrid {
-    let mut cells: Vec<Pos> = Vec::new();
-    for r in 0..runs {
-        let y0 = (r * 3) as i32;
-        for x in 0..width {
-            cells.push(Pos::new(x as i32, y0));
-            cells.push(Pos::new(x as i32, y0 + 1));
-        }
-        if r + 1 < runs {
-            let elbow_x = if r % 2 == 0 { width as i32 - 1 } else { 0 };
-            cells.push(Pos::new(elbow_x, y0 + 2));
-        }
-    }
-    let mut grid = OccupancyGrid::new(Bounds::new(width as u32 + 4, (runs * 3) as u32 + 4));
-    for (i, &p) in cells.iter().enumerate() {
-        grid.place(BlockId(i as u32 + 1), p).unwrap();
-    }
-    grid
-}
-
-/// Every genuine two-cell vacate of a laterally adjacent pair on the
-/// ribbon, destinations capped like [`carrying_set`].
-fn back_edge_pair_set(grid: &OccupancyGrid) -> Vec<[(Pos, Pos); 2]> {
-    let mut batches = Vec::new();
-    for (_, a) in grid.blocks() {
-        for b in a.neighbors4() {
-            if !grid.is_occupied(b) {
-                continue;
-            }
-            let free_near = |c: Pos| {
-                c.neighbors4()
-                    .into_iter()
-                    .filter(move |&d| d != a && d != b && grid.is_free(d))
-            };
-            for d1 in free_near(a).take(2) {
-                for d2 in free_near(b).filter(|&d2| d2 != d1).take(2) {
-                    batches.push([(a, d1), (b, d2)]);
-                }
-            }
-        }
-    }
-    batches
-}
-
-/// The back-edge separating-pair section: equivalence first, then BFS
-/// vs oracle timing on the ribbon's pair-vacate set.
-fn bench_back_edge_pairs(c: &mut Criterion) {
-    let grid = ribbon_board(6, 12);
-    let batches = back_edge_pair_set(&grid);
-    assert!(!batches.is_empty(), "ribbon produced no pair vacates");
-
-    {
-        let mut oracle = ConnectivityOracle::new();
-        let mut scratch = ConnectivityScratch::new();
-        for batch in &batches {
-            assert_eq!(
-                oracle.preserves_connectivity(&grid, batch),
-                is_connected_after(&grid, batch, &mut scratch),
-                "back-edge pair verdict mismatch on {batch:?}"
-            );
-        }
-        // PR 9: the ribbon's pair vacates — tree edges at the rims,
-        // back edges inside the runs — answer from the block-cut tree.
-        // The one honest exception: a full-column vacate of a thick run
-        // whose optimistic/pessimistic low-link readings disagree (a
-        // masked second back edge), which the verdict deliberately
-        // routes to the BFS rather than guess — about a fifth of this
-        // exhaustive set, and none of the catalogue's carrying shapes.
-        let fallbacks = oracle.fallback_probes() as usize;
-        assert!(
-            fallbacks * 4 <= batches.len(),
-            "{fallbacks}/{} back-edge pair vacates fell back to the BFS",
-            batches.len()
-        );
-    }
-
-    let mut group = c.benchmark_group("connectivity_oracle");
-    let mut scratch = ConnectivityScratch::new();
-    group.bench_with_input(
-        BenchmarkId::new("bfs_back_edge_pairs", "ribbon_6x12"),
-        &batches,
-        |b, batches| {
-            b.iter(|| {
-                let mut admitted = 0usize;
-                for batch in batches {
-                    admitted += usize::from(is_connected_after(&grid, batch, &mut scratch));
-                }
-                black_box(admitted)
-            })
-        },
-    );
-    let mut oracle = ConnectivityOracle::new();
-    group.bench_with_input(
-        BenchmarkId::new("oracle_back_edge_pairs", "ribbon_6x12"),
-        &batches,
-        |b, batches| {
-            b.iter(|| {
-                let mut admitted = 0usize;
-                for batch in batches {
-                    admitted += usize::from(oracle.preserves_connectivity(&grid, batch));
-                }
-                black_box(admitted)
-            })
-        },
-    );
-    group.finish();
 }
 
 /// The maintenance section: replay a recorded column reconfiguration —
@@ -343,6 +225,11 @@ fn bench_connectivity_oracle(c: &mut Criterion) {
             "{}: no carrying batches",
             family.name()
         );
+        let chains: Vec<[(Pos, Pos); 2]> = batches
+            .iter()
+            .copied()
+            .filter(|b| b[1].1 == b[0].0)
+            .collect();
 
         // Batch-for-batch agreement first, and — on connected instances —
         // the PR 7 pin: hand-over chains never reach the BFS (the
@@ -362,7 +249,7 @@ fn bench_connectivity_oracle(c: &mut Criterion) {
             }
             if connected {
                 let before = oracle.fallback_probes();
-                for batch in batches.iter().filter(|b| b[1].1 == b[0].0) {
+                for batch in &chains {
                     oracle.preserves_connectivity(grid, batch);
                 }
                 assert_eq!(
@@ -377,11 +264,11 @@ fn bench_connectivity_oracle(c: &mut Criterion) {
         let mut scratch = ConnectivityScratch::new();
         group.bench_with_input(
             BenchmarkId::new("bfs_per_carrying_batch", family.name()),
-            &batches,
-            |b, batches| {
+            &chains,
+            |b, chains| {
                 b.iter(|| {
                     let mut admitted = 0usize;
-                    for batch in batches {
+                    for batch in chains {
                         admitted += usize::from(is_connected_after(grid, batch, &mut scratch));
                     }
                     black_box(admitted)
@@ -392,11 +279,11 @@ fn bench_connectivity_oracle(c: &mut Criterion) {
         let mut oracle = ConnectivityOracle::new();
         group.bench_with_input(
             BenchmarkId::new("oracle_carrying", family.name()),
-            &batches,
-            |b, batches| {
+            &chains,
+            |b, chains| {
                 b.iter(|| {
                     let mut admitted = 0usize;
-                    for batch in batches {
+                    for batch in chains {
                         admitted += usize::from(oracle.preserves_connectivity(grid, batch));
                     }
                     black_box(admitted)
@@ -408,10 +295,5 @@ fn bench_connectivity_oracle(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_connectivity_oracle,
-    bench_back_edge_pairs,
-    bench_epoch_replay
-);
+criterion_group!(benches, bench_connectivity_oracle, bench_epoch_replay);
 criterion_main!(benches);

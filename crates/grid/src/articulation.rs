@@ -30,34 +30,15 @@
 //! vacated/filled set:
 //!
 //! * net-empty batches answer from the memoised component count;
-//! * a single net pair — **every** catalogue carrying rule reduces to
-//!   one, because their moves chain head-to-tail — routes through the
-//!   same O(1) single-move verdict as a plain move;
-//! * a genuine two-cell vacate is decided by separating-pair reasoning on
-//!   the DFS tree (`ConnectivityOracle::pair_vacate_verdict`).  When the
-//!   pair is a **tree edge** — adjacent `u` (parent) and `v` (child) —
-//!   removal shatters the graph into the tree children of both plus the
-//!   remainder above `u`, each child subtree attaching to the remainder
-//!   iff `low < disc[u]` — back edges from those subtrees can only land
-//!   on `u`, `v`, inside themselves, or strictly above `u` — and a
-//!   ≤9-element union-find over those pieces plus the two destinations
-//!   settles connectivity exactly.  When the adjacent pair is instead a
-//!   **back edge** (`ConnectivityOracle::back_edge_pair_verdict`), `u` is
-//!   a proper ancestor of `v` along a tree path: the pieces are `v`'s
-//!   child subtrees, `u`'s off-path child subtrees, the *middle* (the
-//!   tree path strictly between them plus everything hanging off it) and
-//!   the remainder above `u`.  Low-links classify most attachments
-//!   exactly; the ones a single `low` value can mask (a child of `v`
-//!   whose only escape might be the vacated back edge itself, or a middle
-//!   whose remainder link might run through `v`) are bracketed by running
-//!   the union-find twice — once assuming every maskable link absent,
-//!   once assuming all present.  When both brackets agree that answer is
-//!   exact; a disagreement falls back to the BFS.
+//! * a single net relocation — **every** catalogue carrying rule reduces to
+//!   one, because their moves chain head-to-tail (Eqs. 4–5: the rear
+//!   block refills the cell the front block leaves) — routes through the
+//!   same O(1) single-move verdict as a plain move.
 //!
-//! The probes the structure genuinely cannot decide — already
-//! disconnected states, non-adjacent vacated pairs, bracket disagreements,
-//! net effects wider than two cells — fall back to the scratch BFS, so
-//! the oracle is **bit-for-bit equivalent** to
+//! Every other net effect (no catalogue rule produces one), probes of an
+//! already disconnected ensemble, and the rare single move the forest
+//! cannot place (`ConnectivityOracle::cut_source_move_connects`) fall
+//! back to the scratch BFS, so the oracle is **bit-for-bit equivalent** to
 //! [`crate::connectivity::is_connected_after`] on every geometrically
 //! valid batch.
 //!
@@ -82,11 +63,9 @@
 //!   occupied cardinal neighbours lie in one maximal occupied arc of its
 //!   8-cell ring, so every path through `f` reroutes around it — sound,
 //!   locally checkable, and complete for the corner/surface departures
-//!   reconfigurations actually produce), or a fresh forest's cut bit.  A
-//!   net two-cell vacate is absorbed when the analogous **pair
-//!   certificate** (ring certificates chained over both orders of
-//!   removal) proves the vacated pair harmless.  Deltas with no O(1)
-//!   witness rebuild.
+//!   reconfigurations actually produce), or a fresh forest's cut bit.
+//!   Deltas with no O(1) witness rebuild, and so does every delta that
+//!   is not a single relocation (an unchanged occupancy aside).
 //! * The **forest layer** — Tarjan arrays, preorder stamps, cut mask —
 //!   is kept usable across general single-move epochs by a bounded,
 //!   chronological **edit log** instead of being rebuilt.  Each absorbed
@@ -112,7 +91,7 @@
 //!   pending `Missing` on or laterally adjacent to a scanned anchor
 //!   would be read as forest structure it does not have
 //!   (`ConnectivityOracle::missing_blind`) — and **broken
-//!   certificates** — hypothetically removing a probe's vacated cells
+//!   certificates** — hypothetically removing a probe's vacated cell
 //!   from a pending entry's ring can break the occupied arc its
 //!   certificate rerouted through, re-checked per entry over the ring
 //!   occupancy *at that entry's apply time*
@@ -124,7 +103,7 @@
 //!   ~N²/4 occupancy epochs total.
 //!
 //! The forest additionally patches **leaf relocations** eagerly: a
-//! non-root tree leaf vacated and/or a cell landing with exactly one
+//! non-root tree leaf vacated and a cell landing with exactly one
 //! occupied neighbour.  Leaf removal never influenced any ancestor's
 //! low-link, so only the support's cut bit is recomputed (O(1)); a landed
 //! leaf `t` on support `r` is grafted as `parent[t] = r`, `disc[t] =
@@ -132,9 +111,8 @@
 //! keeps every interval test exact, because `t`'s piece is `r`'s piece
 //! under any removal that is not `r` itself, and under `s = r` the stamp
 //! forms `t`'s own degenerate split interval.  At most one such aliased
-//! leaf may hang per support, aliased leaves never serve as supports, and
-//! back-edge pair endpoints must be genuine (all three guards force a
-//! rebuild or a fallback), so stamp collisions stay unambiguous.  O(N)
+//! leaf may hang per support and aliased leaves never serve as supports
+//! (both guards force a rebuild), so stamp collisions stay unambiguous.  O(N)
 //! forest surgery — re-rooting, interior splice-outs — is deliberately
 //! *not* attempted: the edit log absorbs those deltas as overlay entries
 //! and lets the rare hazard-triggered rebuild pay once instead.
@@ -252,10 +230,10 @@ impl ConnectivityOracle {
     ///
     /// The batch is first reduced to its *net* vacated/filled cells
     /// (overlay semantics cancel a cell both vacated and refilled, which
-    /// covers every catalogue carrying chain); net-empty, net-single and
-    /// tree-edge net-pair batches are answered in O(1) from the memoised
-    /// block-cut-tree state, everything else falls back to the scratch
-    /// BFS (see the module docs for the exact contract).
+    /// covers every catalogue carrying chain); net-empty and net-single
+    /// batches are answered in O(1) from the memoised block-cut-tree
+    /// state, everything else falls back to the scratch BFS (see the
+    /// module docs for the exact contract).
     pub fn preserves_connectivity(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
         if grid.block_count() <= 1 {
             return true;
@@ -269,59 +247,33 @@ impl ConnectivityOracle {
         // of moves — anything wider skips straight to the BFS.
         const MAX_NET: usize = 8;
         if moves.len() <= MAX_NET {
-            let zero = Pos::new(0, 0);
-            let mut vacated = [zero; MAX_NET];
-            let mut filled = [zero; MAX_NET];
-            let (mut nv, mut nf) = (0usize, 0usize);
-            'sources: for &(s, _) in moves {
-                for &(_, d) in moves {
-                    if d == s {
-                        continue 'sources;
-                    }
-                }
-                if !vacated[..nv].contains(&s) {
-                    vacated[nv] = s;
-                    nv += 1;
-                }
-            }
-            'destinations: for &(_, d) in moves {
-                for &(s, _) in moves {
-                    if s == d {
-                        continue 'destinations;
-                    }
-                }
-                if !filled[..nf].contains(&d) {
-                    filled[nf] = d;
-                    nf += 1;
-                }
-            }
-            let verdict = match (nv, nf) {
+            let mut vacated = moves
+                .iter()
+                .map(|&(s, _)| s)
+                .filter(|&s| moves.iter().all(|&(_, d)| d != s));
+            let mut filled = moves
+                .iter()
+                .map(|&(_, d)| d)
+                .filter(|&d| moves.iter().all(|&(s, _)| s != d));
+            let verdict = match (vacated.next(), filled.next()) {
                 // The net-empty batch leaves the board as it stands.
-                (0, 0) => Some(self.components <= 1),
+                (None, None) => Some(self.components <= 1),
                 // One net cell out, one in: exactly the single-move
                 // shape, whether or not the two are adjacent.  The
                 // forest-free fast path (pendant mover or local bypass
                 // certificate) decides the dominant case; only a miss
                 // consults — and if necessary lazily rebuilds — the DFS
                 // forest.
-                (1, 1) if self.components == 1 => {
-                    let (f, t) = (vacated[0], filled[0]);
+                (Some(f), Some(t))
+                    if self.components == 1
+                        && vacated.next().is_none()
+                        && filled.next().is_none() =>
+                {
                     if let Some(connected) = self.single_move_fast(grid, f, t) {
                         Some(connected)
                     } else {
-                        self.ensure_forest_for(grid, &[f], &[t]);
+                        self.ensure_forest_for(grid, f, t);
                         self.single_move_verdict(grid, f, t)
-                    }
-                }
-                // A genuine pair vacate: certificate first, then
-                // separating-pair reasoning on the DFS tree.
-                (2, 2) => {
-                    let (pair, dests) = ((vacated[0], vacated[1]), (filled[0], filled[1]));
-                    if let Some(connected) = self.pair_fast(grid, pair, dests) {
-                        Some(connected)
-                    } else {
-                        self.ensure_forest_for(grid, &[pair.0, pair.1], &[dests.0, dests.1]);
-                        self.pair_vacate_verdict(grid, pair, dests)
                     }
                 }
                 _ => None,
@@ -339,7 +291,8 @@ impl ConnectivityOracle {
     /// configuration (false for empty or off-surface cells), from the
     /// memoised mask.
     pub fn is_cut_vertex(&mut self, grid: &OccupancyGrid, pos: Pos) -> bool {
-        self.ensure_forest_for(grid, &[pos], &[]);
+        // Nothing lands: passing `pos` again repeats its stamp check.
+        self.ensure_forest_for(grid, pos, pos);
         grid.bounds().contains(pos) && self.cut_bit(grid, pos)
     }
 
@@ -411,336 +364,6 @@ impl ConnectivityOracle {
         self.cut_source_move_connects(grid, from, to)
     }
 
-    /// Exact O(1) verdict for a batch whose net effect vacates the two
-    /// cells of `pair` and fills the two cells of `dests`, provided the
-    /// vacated pair is a **tree edge** of the DFS (parent `u`, child `v`).
-    ///
-    /// Removing `u` and `v` together shatters the component into the tree
-    /// children of `v`, the other tree children of `u`, and — for a
-    /// non-root `u` — the remainder above `u`.  Grid DFS trees have no
-    /// cross edges, so a back edge escaping one of those child subtrees
-    /// can only land on `u`, `v` or a proper ancestor of `u`: the subtree
-    /// reattaches to the remainder iff `low < disc[u]`, and is otherwise
-    /// an isolated piece.  A ≤9-element union-find over the pieces, the
-    /// remainder and the two destinations then decides connectivity; a
-    /// neighbour's piece is found by interval membership against the
-    /// `[disc, high]` preorder stamps.
-    ///
-    /// `None` routes to the BFS: disconnected states, back-edge pairs
-    /// (where low-links alone cannot place the middle region), occupancy
-    /// mismatches, or stale-state inconsistencies.
-    fn pair_vacate_verdict(
-        &self,
-        grid: &OccupancyGrid,
-        pair: (Pos, Pos),
-        dests: (Pos, Pos),
-    ) -> Option<bool> {
-        if self.components != 1 {
-            return None;
-        }
-        let (a, b) = pair;
-        let (d1, d2) = dests;
-        if !grid.is_occupied(a) || !grid.is_occupied(b) || !grid.is_free(d1) || !grid.is_free(d2) {
-            // A net pair of a geometrically valid batch vacates occupied
-            // cells and fills free ones; anything else is exact only
-            // under the overlay semantics of the BFS.
-            return None;
-        }
-        let width = grid.bounds().width as usize;
-        let index = |p: Pos| p.y as usize * width + p.x as usize;
-        // Orient the pair along its tree edge: `v` a direct child of `u`.
-        let (u, v) = if self.parent[index(b)] == index(a) as u32 {
-            (a, b)
-        } else if self.parent[index(a)] == index(b) as u32 {
-            (b, a)
-        } else {
-            // Not a tree edge: an adjacent occupied pair whose edge the
-            // DFS classified as a back edge — separate piece reasoning.
-            return self.back_edge_pair_verdict(grid, a, b, (d1, d2));
-        };
-        let (u_idx, v_idx) = (index(u), index(v));
-        let u_is_root = self.parent[u_idx] == NO_PARENT;
-        let (u_disc, u_high) = (self.disc[u_idx], self.high[u_idx]);
-
-        // Child pieces: `(disc, high, attaches to the remainder)`.  At
-        // most three per vacated cell (one neighbour slot is the tree
-        // edge between them).
-        let mut pieces = [(0u32, 0u32, false); 6];
-        let mut k = 0usize;
-        for (centre, centre_idx, skip) in [(v, v_idx, u), (u, u_idx, v)] {
-            for c in centre.neighbors4() {
-                if c == skip || !grid.is_occupied(c) {
-                    continue;
-                }
-                let c_idx = index(c);
-                if self.parent[c_idx] == centre_idx as u32 {
-                    pieces[k] = (self.disc[c_idx], self.high[c_idx], self.low[c_idx] < u_disc);
-                    k += 1;
-                }
-            }
-        }
-
-        // Union-find ids: `0..k` child pieces, `k` the remainder above
-        // `u`, `k + 1` / `k + 2` the destinations.
-        let remainder = k;
-        let (d1_id, d2_id) = (k + 1, k + 2);
-        let mut dsu: [u8; 9] = [0, 1, 2, 3, 4, 5, 6, 7, 8];
-        fn find(dsu: &mut [u8; 9], mut i: usize) -> usize {
-            while dsu[i] as usize != i {
-                dsu[i] = dsu[dsu[i] as usize];
-                i = dsu[i] as usize;
-            }
-            i
-        }
-        fn union(dsu: &mut [u8; 9], i: usize, j: usize) {
-            let (ri, rj) = (find(dsu, i), find(dsu, j));
-            dsu[ri] = rj as u8;
-        }
-        for (i, &(_, _, attached)) in pieces[..k].iter().enumerate() {
-            if attached {
-                if u_is_root {
-                    // The root holds the minimum preorder stamp of its
-                    // component: nothing can attach above it.
-                    return None;
-                }
-                union(&mut dsu, i, remainder);
-            }
-        }
-        // Piece of an occupied neighbour `q ∉ {u, v}`.
-        let classify = |q: Pos| -> Option<usize> {
-            let dq = self.disc[index(q)];
-            if !(u_disc..=u_high).contains(&dq) {
-                return if u_is_root { None } else { Some(remainder) };
-            }
-            pieces[..k]
-                .iter()
-                .position(|&(lo, hi, _)| (lo..=hi).contains(&dq))
-        };
-        for (d, d_id) in [(d1, d1_id), (d2, d2_id)] {
-            for q in d.neighbors4() {
-                if q == d1 || q == d2 {
-                    // A destination's neighbour equal to the *other*
-                    // destination links the two movers directly.
-                    union(&mut dsu, d1_id, d2_id);
-                    continue;
-                }
-                if q == u || q == v || !grid.is_occupied(q) {
-                    continue;
-                }
-                union(&mut dsu, d_id, classify(q)?);
-            }
-        }
-        // Connected iff every live piece shares one union-find root.
-        let reference = find(&mut dsu, d1_id);
-        for i in 0..k {
-            if find(&mut dsu, i) != reference {
-                return Some(false);
-            }
-        }
-        if !u_is_root && find(&mut dsu, remainder) != reference {
-            return Some(false);
-        }
-        Some(find(&mut dsu, d2_id) == reference)
-    }
-
-    /// Exact O(1) verdict for a vacated adjacent pair whose edge is a
-    /// **back edge** of the DFS: `u` a proper ancestor of `v`, connected
-    /// in the tree through an intermediate path of length ≥ 2.
-    ///
-    /// Removing both shatters the component into the remainder above a
-    /// non-root `u` (`R`), the **middle** — the subtree of `u`'s child
-    /// `a₀` on the tree path towards `v`, minus `v`'s own subtree (`M`) —
-    /// plus the tree children of `v` and the other tree children of `u`.
-    /// Low-links place most attachments exactly: a piece reaches `R` iff
-    /// it holds a back edge strictly above `u` (`low < disc[u]`), and a
-    /// child of `v` reaches `M` iff it lands strictly between `u` and `v`
-    /// (`disc[u] < low < disc[v]` — targets in that preorder range are
-    /// necessarily tree-path vertices).  A minimum *can* mask a second,
-    /// higher back edge (`low ≤ disc[u]` says nothing about additional
-    /// middle landings), so the verdict is evaluated twice — once without
-    /// the maskable links (pessimistic) and once with all of them
-    /// (optimistic).  Agreement means the answer is exact either way;
-    /// disagreement routes to the BFS (`None`), as do aliased stamps on
-    /// the pair.
-    fn back_edge_pair_verdict(
-        &self,
-        grid: &OccupancyGrid,
-        a: Pos,
-        b: Pos,
-        dests: (Pos, Pos),
-    ) -> Option<bool> {
-        let width = grid.bounds().width as usize;
-        let index = |p: Pos| p.y as usize * width + p.x as usize;
-        if (a.x - b.x).abs() + (a.y - b.y).abs() != 1 {
-            // Disjoint vacates have no shared tree structure to reason
-            // over; only the BFS is exact.
-            return None;
-        }
-        let aliased = |idx: usize| {
-            let p = self.parent[idx];
-            p != NO_PARENT && self.disc[idx] == self.disc[p as usize]
-        };
-        let (a_idx, b_idx) = (index(a), index(b));
-        if aliased(a_idx) || aliased(b_idx) {
-            // A grafted pendant's edge to its second neighbour is not in
-            // the stamp structure at all.
-            return None;
-        }
-        // Orient `u` the ancestor: grid DFS trees have no cross edges, so
-        // the non-tree edge connects interval-nested vertices.
-        let (u, v) = if self.disc[a_idx] < self.disc[b_idx] {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        let (u_idx, v_idx) = (index(u), index(v));
-        let (u_disc, u_high) = (self.disc[u_idx], self.high[u_idx]);
-        let (v_disc, v_high) = (self.disc[v_idx], self.high[v_idx]);
-        if !(u_disc..=u_high).contains(&v_disc) {
-            return None;
-        }
-        let u_is_root = self.parent[u_idx] == NO_PARENT;
-        // Tree children of `v`, then the off-path tree children of `u`;
-        // `a₀` is `u`'s child whose subtree interval covers `v`.
-        let mut pieces = [(0u32, 0u32, 0u32); 6];
-        let mut kc = 0usize;
-        for c in v.neighbors4() {
-            if c == u || !grid.is_occupied(c) {
-                continue;
-            }
-            let c_idx = index(c);
-            if self.parent[c_idx] == v_idx as u32 {
-                pieces[kc] = (self.disc[c_idx], self.high[c_idx], self.low[c_idx]);
-                kc += 1;
-            }
-        }
-        let mut k = kc;
-        let mut a0: Option<usize> = None;
-        for c in u.neighbors4() {
-            if c == v || !grid.is_occupied(c) {
-                continue;
-            }
-            let c_idx = index(c);
-            if self.parent[c_idx] != u_idx as u32 {
-                continue;
-            }
-            if (self.disc[c_idx]..=self.high[c_idx]).contains(&v_disc) {
-                a0 = Some(c_idx);
-            } else {
-                pieces[k] = (self.disc[c_idx], self.high[c_idx], self.low[c_idx]);
-                k += 1;
-            }
-        }
-        // `v` is a proper descendant, so the path child must exist.
-        let a0_idx = a0?;
-        let (a0_lo, a0_hi, a0_low) = (self.disc[a0_idx], self.high[a0_idx], self.low[a0_idx]);
-        let v_low = self.low[v_idx];
-
-        // Union-find ids: `0..kc` children of `v`, `kc..k` off-path
-        // children of `u`, then the middle, the remainder and the two
-        // destinations.
-        let middle = k;
-        let remainder = k + 1;
-        let (d1_id, d2_id) = (k + 2, k + 3);
-        let (d1, d2) = dests;
-        fn find(dsu: &mut [u8; 12], mut i: usize) -> usize {
-            while dsu[i] as usize != i {
-                dsu[i] = dsu[dsu[i] as usize];
-                i = dsu[i] as usize;
-            }
-            i
-        }
-        fn union(dsu: &mut [u8; 12], i: usize, j: usize) {
-            let (ri, rj) = (find(dsu, i), find(dsu, j));
-            dsu[ri] = rj as u8;
-        }
-        // Piece of an occupied neighbour `q ∉ {u, v}` of a destination.
-        let classify = |q: Pos| -> Option<usize> {
-            let dq = self.disc[index(q)];
-            if !(u_disc..=u_high).contains(&dq) {
-                return if u_is_root { None } else { Some(remainder) };
-            }
-            if (v_disc..=v_high).contains(&dq) {
-                return pieces[..kc]
-                    .iter()
-                    .position(|&(lo, hi, _)| (lo..=hi).contains(&dq));
-            }
-            if (a0_lo..=a0_hi).contains(&dq) {
-                return Some(middle);
-            }
-            pieces[kc..k]
-                .iter()
-                .position(|&(lo, hi, _)| (lo..=hi).contains(&dq))
-                .map(|i| kc + i)
-        };
-        let verdict = |optimistic: bool| -> Option<bool> {
-            let mut dsu: [u8; 12] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11];
-            for (i, &(_, _, low)) in pieces[..kc].iter().enumerate() {
-                if low < u_disc {
-                    if u_is_root {
-                        return None;
-                    }
-                    union(&mut dsu, i, remainder);
-                }
-                if u_disc < low && low < v_disc {
-                    // Strictly-between landings are tree-path vertices.
-                    union(&mut dsu, i, middle);
-                } else if optimistic && low <= u_disc {
-                    // The minimum may mask an additional middle landing.
-                    union(&mut dsu, i, middle);
-                }
-            }
-            for (j, &(_, _, low)) in pieces[kc..k].iter().enumerate() {
-                // Off-path subtrees of `u` see only `u` and above as
-                // ancestors: no middle ambiguity.
-                if low < u_disc {
-                    if u_is_root {
-                        return None;
-                    }
-                    union(&mut dsu, kc + j, remainder);
-                }
-            }
-            if a0_low < u_disc {
-                if u_is_root {
-                    return None;
-                }
-                if v_low >= u_disc {
-                    // The sub-`u` witness is outside `v`'s subtree, i.e.
-                    // in the middle itself: certain attachment.
-                    union(&mut dsu, middle, remainder);
-                } else if optimistic {
-                    union(&mut dsu, middle, remainder);
-                }
-            }
-            for (d, d_id) in [(d1, d1_id), (d2, d2_id)] {
-                for q in d.neighbors4() {
-                    if q == d1 || q == d2 {
-                        union(&mut dsu, d1_id, d2_id);
-                        continue;
-                    }
-                    if q == u || q == v || !grid.is_occupied(q) {
-                        continue;
-                    }
-                    union(&mut dsu, d_id, classify(q)?);
-                }
-            }
-            let reference = find(&mut dsu, d1_id);
-            for i in 0..=middle {
-                if find(&mut dsu, i) != reference {
-                    return Some(false);
-                }
-            }
-            if !u_is_root && find(&mut dsu, remainder) != reference {
-                return Some(false);
-            }
-            Some(find(&mut dsu, d2_id) == reference)
-        };
-        match (verdict(false)?, verdict(true)?) {
-            (pessimistic, optimistic) if pessimistic == optimistic => Some(pessimistic),
-            _ => None,
-        }
-    }
-
     /// Exact verdict for a single-block move whose source `s` **is** a cut
     /// vertex of the (connected) ensemble, in O(1).
     ///
@@ -753,8 +376,13 @@ impl ConnectivityOracle {
     /// in a split subtree is two comparisons against the subtree's
     /// contiguous preorder interval `[disc[c], high[c]]`.
     ///
-    /// Returns `None` in the defensive case of an inconsistency (falls
-    /// back to the BFS), which does not occur for fresh state.
+    /// Returns `None`, and the probe falls back to the BFS, when the live
+    /// cells around `s` show fewer than two pieces.  Every fallback of
+    /// the recorded sweeps comes from here (all in `high_aspect` cells):
+    /// the cut bit of `s` is read on the edited forest, one of its split
+    /// children is a pending `Ghost` — still in the forest, no longer on
+    /// the live board — and the scan, which walks live cells only, finds
+    /// the remaining piece alone.
     fn cut_source_move_connects(&self, grid: &OccupancyGrid, s: Pos, d: Pos) -> Option<bool> {
         let bounds = grid.bounds();
         let width = bounds.width as usize;
@@ -815,8 +443,8 @@ impl ConnectivityOracle {
 
     /// Synchronises the light state (`board`, `components`, `sat`,
     /// `sat_removable`) to the grid's current epoch.  O(1) for every
-    /// single-move and carrying-pair delta whose admissibility the local
-    /// certificates can prove; anything else rebuilds in full.
+    /// single relocation whose admissibility the local certificates can
+    /// prove; anything else rebuilds in full.
     #[inline]
     fn ensure_light(&mut self, grid: &OccupancyGrid) {
         let epoch = grid.epoch();
@@ -842,7 +470,7 @@ impl ConnectivityOracle {
     }
 
     /// Synchronises the forest for a probe that hypothetically *removes*
-    /// the `vacated` cells and *adds* the `landed` cells: like
+    /// the `vacated` cell and *adds* the `landed` cell: like
     /// [`ConnectivityOracle::ensure_forest`], but additionally rebuilds
     /// when a pending edit could falsify the verdict — outside those
     /// situations the edited forest answers exactly.
@@ -855,14 +483,14 @@ impl ConnectivityOracle {
     /// cell on a pending entry's ring can break the occupied arc its
     /// certificate rerouted through, which is re-checked per entry by
     /// [`ConnectivityOracle::certs_survive`]; an *addition* never breaks
-    /// an arc, so landed anchors need no certificate check.  Ghost
+    /// an arc, so the landed anchor needs no certificate check.  Ghost
     /// stamps are never read — piece scans walk live cells only.
     #[inline]
-    fn ensure_forest_for(&mut self, grid: &OccupancyGrid, vacated: &[Pos], landed: &[Pos]) {
+    fn ensure_forest_for(&mut self, grid: &OccupancyGrid, vacated: Pos, landed: Pos) {
         self.ensure_light(grid);
         if !self.forest_synced
-            || vacated.iter().any(|&p| self.missing_blind(p))
-            || landed.iter().any(|&p| self.missing_blind(p))
+            || self.missing_blind(vacated)
+            || self.missing_blind(landed)
             || !self.certs_survive(&|q| grid.is_occupied(q), vacated)
         {
             self.rebuild(grid);
@@ -894,21 +522,18 @@ impl ConnectivityOracle {
     }
 
     /// Whether every pending entry's ring certificate survives removing
-    /// the `removed` cells.  Each entry `e` whose ring meets a removed
+    /// the `removed` cell.  Each entry `e` whose ring holds the removed
     /// cell is re-certified over its ring occupancy *at apply time*:
     /// `occ` rewound through the entries younger than `e` (a cell a
     /// younger `Ghost` tombstones was still occupied when `e` applies, a
-    /// younger `Missing` had not landed yet), minus the removed cells.
+    /// younger `Missing` had not landed yet), minus the removed cell.
     /// When this holds, peeling the log stays merge-free and split-free
     /// on the board the verdict reasons about, so pieces and cut bits
     /// keep corresponding exactly even inside the log's halos.
-    fn certs_survive(&self, occ: &dyn Fn(Pos) -> bool, removed: &[Pos]) -> bool {
+    fn certs_survive(&self, occ: &dyn Fn(Pos) -> bool, removed: Pos) -> bool {
         (0..self.edits.len()).all(|i| {
             let (e, _) = self.edits[i];
-            if !removed
-                .iter()
-                .any(|&p| p != e && (e.x - p.x).abs() <= 1 && (e.y - p.y).abs() <= 1)
-            {
+            if removed == e || (e.x - removed.x).abs() > 1 || (e.y - removed.y).abs() > 1 {
                 // Entries whose ring the removal misses keep their
                 // certificate; a removed cell *equal* to an entry (a
                 // pending `Missing` vacating) is the stamp checks' job.
@@ -916,7 +541,7 @@ impl ConnectivityOracle {
             }
             let younger = &self.edits[i + 1..];
             let at_apply = |q: Pos| -> bool {
-                if removed.contains(&q) {
+                if q == removed {
                     return false;
                 }
                 match younger.iter().find(|&&(y, _)| y == q) {
@@ -930,9 +555,8 @@ impl ConnectivityOracle {
 
     /// Attempts to absorb the occupancy delta against the board snapshot
     /// without re-running the DFS.  Succeeds when the diff is empty (an
-    /// occupancy-identical grid under a new epoch), a single relocation
-    /// the light layer can certify, a carrying pair the pair certificate
-    /// can certify, or a pure place/remove the leaf patch absorbs.
+    /// occupancy-identical grid under a new epoch) or a single relocation
+    /// the light layer can certify.
     fn try_incremental(&mut self, grid: &OccupancyGrid) -> bool {
         let bounds = grid.bounds();
         let words = grid.occupancy_words();
@@ -940,10 +564,7 @@ impl ConnectivityOracle {
             return false;
         }
         let words_per_row = grid.words_per_row();
-        let zero = Pos::new(0, 0);
-        let mut vacated = [zero; 2];
-        let mut landed = [zero; 2];
-        let (mut nv, mut nl) = (0usize, 0usize);
+        let (mut vacated, mut landed) = (None, None);
         for (w, (&now, &then)) in words.iter().zip(self.board.iter()).enumerate() {
             let mut diff = now ^ then;
             while diff != 0 {
@@ -953,38 +574,19 @@ impl ConnectivityOracle {
                     ((w % words_per_row) * 64) as i32 + bit as i32,
                     (w / words_per_row) as i32,
                 );
-                if now >> bit & 1 != 0 {
-                    if nl == 2 {
-                        return false;
-                    }
-                    landed[nl] = pos;
-                    nl += 1;
+                let side = if now >> bit & 1 != 0 {
+                    &mut landed
                 } else {
-                    if nv == 2 {
-                        return false;
-                    }
-                    vacated[nv] = pos;
-                    nv += 1;
+                    &mut vacated
+                };
+                if side.replace(pos).is_some() {
+                    return false;
                 }
             }
         }
-        match (nv, nl) {
-            (0, 0) => true,
-            (1, 1) => self.light_single_sync(grid, vacated[0], landed[0]),
-            (2, 2) => self.light_pair_sync(grid, vacated, landed),
-            // A pure place or remove: only the narrow leaf patch keeps
-            // both layers exact, and the pendant invariant is dropped.
-            (v, l) if v + l == 1 => {
-                let f = (v == 1).then_some(vacated[0]);
-                let t = (l == 1).then_some(landed[0]);
-                if self.forest_synced && self.patch_leaf_delta(grid, f, t) {
-                    self.sat = None;
-                    self.sat_removable = false;
-                    true
-                } else {
-                    false
-                }
-            }
+        match (vacated, landed) {
+            (None, None) => true,
+            (Some(f), Some(t)) => self.light_single_sync(grid, f, t),
             _ => false,
         }
     }
@@ -1016,7 +618,7 @@ impl ConnectivityOracle {
             || (self.forest_synced
                 && old_occupied(f)
                 && !self.missing_blind(f)
-                && self.certs_survive(&old_occupied, &[f])
+                && self.certs_survive(&old_occupied, f)
                 && !self.cut_bit(grid, f));
         if !removable {
             return false;
@@ -1026,7 +628,7 @@ impl ConnectivityOracle {
             return false;
         }
         if self.forest_synced {
-            if !self.patch_leaf_delta(grid, Some(f), Some(t)) && !self.edit_absorb(grid, f, t) {
+            if !self.patch_leaf_delta(grid, f, t) && !self.edit_absorb(grid, f, t) {
                 self.forest_synced = false;
                 self.mirror(grid, f, false);
                 self.mirror(grid, t, true);
@@ -1054,8 +656,6 @@ impl ConnectivityOracle {
     /// instead.
     fn edit_absorb(&mut self, grid: &OccupancyGrid, f: Pos, t: Pos) -> bool {
         let bounds = grid.bounds();
-        let width = bounds.width as usize;
-        let index = |p: Pos| p.y as usize * width + p.x as usize;
 
         // Vacate side.  Popping is only sound for the *newest* entry (no
         // later certificate can depend on it); `f` matching an older
@@ -1117,31 +717,7 @@ impl ConnectivityOracle {
         let graft = if reland || lateral_kept(t) {
             None
         } else {
-            let mut support = None;
-            for n in t.neighbors4() {
-                if grid.is_occupied(n) {
-                    if support.is_some() {
-                        support = None;
-                        break;
-                    }
-                    support = Some(n);
-                }
-            }
-            support.filter(|&r| {
-                let r_idx = index(r);
-                let r_parent = self.parent[r_idx];
-                if r_parent != NO_PARENT && self.disc[r_idx] == self.disc[r_parent as usize] {
-                    // `r` is itself an aliased leaf.
-                    return false;
-                }
-                // One aliased leaf per support.
-                r.neighbors4().iter().all(|&c| {
-                    c == t || !grid.is_occupied(c) || {
-                        let c_idx = index(c);
-                        self.parent[c_idx] != r_idx as u32 || self.disc[c_idx] != self.disc[r_idx]
-                    }
-                })
-            })
+            self.graft_support(grid, t)
         };
         let pushes = usize::from(!pop_missing) + usize::from(graft.is_none());
         if self.edits.len() + pushes > MAX_EDITS {
@@ -1166,62 +742,11 @@ impl ConnectivityOracle {
         }
         self.mirror(grid, f, false);
         if let Some(r) = graft {
-            let (t_idx, r_idx) = (index(t), index(r));
-            let stamp = self.disc[r_idx];
-            self.disc[t_idx] = stamp;
-            self.low[t_idx] = stamp;
-            self.high[t_idx] = stamp;
-            self.parent[t_idx] = r_idx as u32;
-            let (w, b) = grid.word_bit(t);
-            self.cut[w] &= !(1u64 << b);
-            if grid.block_count() >= 3 {
-                // Any third block makes `r` a cut vertex: the new state
-                // minus `r` strands the grafted leaf.
-                let (w, b) = grid.word_bit(r);
-                self.cut[w] |= 1u64 << b;
-            }
+            self.graft(grid, t, r);
         } else {
             self.edits.push((t, EditKind::Missing));
         }
         self.mirror(grid, t, true);
-        true
-    }
-
-    /// O(1) light absorption of a carrying pair: two net vacates and two
-    /// net landings in one epoch.  Admissible when the pair certificate
-    /// proves the post-state connected; the forest always goes stale and
-    /// the pendant invariant is dropped (the next single move re-arms it).
-    fn light_pair_sync(
-        &mut self,
-        grid: &OccupancyGrid,
-        vacated: [Pos; 2],
-        landed: [Pos; 2],
-    ) -> bool {
-        if self.components != 1 {
-            return false;
-        }
-        let bounds = grid.bounds();
-        let board = &self.board;
-        let old_occupied = |p: Pos| -> bool {
-            bounds.contains(p) && {
-                let (w, b) = grid.word_bit(p);
-                board[w] >> b & 1 != 0
-            }
-        };
-        if pair_certificate_verdict(&old_occupied, grid.block_count(), vacated, landed)
-            != Some(true)
-        {
-            return false;
-        }
-        self.forest_synced = false;
-        for f in vacated {
-            self.mirror(grid, f, false);
-        }
-        for t in landed {
-            self.mirror(grid, t, true);
-        }
-        self.sat = None;
-        self.sat_removable = false;
         true
     }
 
@@ -1251,39 +776,19 @@ impl ConnectivityOracle {
         })
     }
 
-    /// Forest-free O(1) verdict for a genuine pair vacate, via the pair
-    /// certificate.  `None` when the certificate cannot decide.
-    fn pair_fast(&self, grid: &OccupancyGrid, pair: (Pos, Pos), dests: (Pos, Pos)) -> Option<bool> {
-        if self.components != 1 {
-            return None;
-        }
-        let (a, b) = pair;
-        let (d1, d2) = dests;
-        if !grid.is_occupied(a) || !grid.is_occupied(b) || !grid.is_free(d1) || !grid.is_free(d2) {
-            return None;
-        }
-        pair_certificate_verdict(
-            &|p: Pos| grid.is_occupied(p),
-            grid.block_count(),
-            [a, b],
-            [d1, d2],
-        )
-    }
-
-    /// O(1) structural patch for a leaf relocation: `f` (if any) vacated,
-    /// `t` (if any) landed, relative to the snapshot in `self.board`.
+    /// O(1) structural patch for a leaf relocation: `f` vacated and `t`
+    /// landed, relative to the snapshot in `self.board`.
     ///
     /// The patch applies exactly when the vacated cell was a **non-root
     /// tree leaf** (its one old neighbour is its DFS parent — such a leaf
     /// never influenced any ancestor's low-link, so only its support's
     /// cut bit needs recomputing) and the landed cell is a **leaf in the
-    /// new state** whose single neighbour `r` is a genuine (non-aliased,
-    /// not-yet-aliasing) support: `t` is grafted with `parent[t] = r` and
-    /// `disc[t] = low[t] = high[t] = disc[r]`, which keeps every preorder
-    /// interval test exact (module docs).  Any other shape returns
+    /// new state** whose single neighbour is a genuine support
+    /// ([`ConnectivityOracle::graft_support`]), under which it is
+    /// grafted ([`ConnectivityOracle::graft`]).  Any other shape returns
     /// `false` and the caller rebuilds.  Component count is invariant
-    /// under both half-patches.
-    fn patch_leaf_delta(&mut self, grid: &OccupancyGrid, f: Option<Pos>, t: Option<Pos>) -> bool {
+    /// under both halves.
+    fn patch_leaf_delta(&mut self, grid: &OccupancyGrid, f: Pos, t: Pos) -> bool {
         let bounds = grid.bounds();
         let width = bounds.width as usize;
         let index = |p: Pos| p.y as usize * width + p.x as usize;
@@ -1295,122 +800,97 @@ impl ConnectivityOracle {
         };
 
         // Feasibility of the vacate half: `f` must hang as a non-root
-        // tree leaf on its unique old neighbour.
-        let vacate = if let Some(f) = f {
-            if self.lateral_pending(f) || !self.certs_survive(&old_occupied, &[f]) {
-                // A lateral pending entry means `f`'s forest adjacency
-                // differs from its live one (the leaf-shape scan below
-                // would lie), and excising a cell on a pending ring may
-                // only proceed if every certificate survives it.
-                return false;
-            }
-            let f_idx = index(f);
-            if self.parent[f_idx] == NO_PARENT {
-                return false;
-            }
-            let mut support = None;
-            for n in f.neighbors4() {
-                if old_occupied(n) {
-                    if support.is_some() {
-                        return false;
-                    }
-                    support = Some(n);
-                }
-            }
-            let Some(q) = support else { return false };
-            if self.parent[f_idx] != index(q) as u32 {
-                // The single neighbour is `f`'s *child*: not a leaf.
-                return false;
-            }
-            if self.lateral_pending(q) {
-                // `q`'s cut bit is recomputed from its live tree
-                // children, which only matches the forest board when no
-                // pending entry sits on `q`'s lateral ring.
-                return false;
-            }
-            Some((f, q))
-        } else {
-            None
+        // tree leaf on its unique old neighbour `q`.
+        if self.lateral_pending(f) || !self.certs_survive(&old_occupied, f) {
+            // A lateral pending entry means `f`'s forest adjacency
+            // differs from its live one (the leaf-shape scan below would
+            // lie), and excising a cell on a pending ring may only
+            // proceed if every certificate survives it.
+            return false;
+        }
+        let f_parent = self.parent[index(f)];
+        let Some(q) = sole_neighbour(&old_occupied, f) else {
+            return false;
         };
-        // Feasibility of the landing half: `t` must have exactly one
-        // occupied neighbour `r` in the new state, and `r` must be a
-        // genuine support carrying no aliased leaf yet.
-        let land = if let Some(t) = t {
-            if self.lateral_pending(t) {
-                // A lateral ghost denies `t` forest-leaf shape, and a
-                // lateral landing would add an occupied cardinal a
-                // pending ring certificate never saw; diagonal contact
-                // only merges ring arcs and is safe.
-                return false;
-            }
-            let mut support = None;
-            for n in t.neighbors4() {
-                if grid.is_occupied(n) {
-                    if support.is_some() {
-                        return false;
-                    }
-                    support = Some(n);
-                }
-            }
-            let Some(r) = support else { return false };
-            let r_idx = index(r);
-            let r_parent = self.parent[r_idx];
-            if r_parent != NO_PARENT && self.disc[r_idx] == self.disc[r_parent as usize] {
-                // `r` is itself an aliased leaf: grafting under it would
-                // stack ambiguous stamps.
-                return false;
-            }
-            for c in r.neighbors4() {
-                if c == t || !grid.is_occupied(c) {
-                    continue;
-                }
-                let c_idx = index(c);
-                if self.parent[c_idx] == r_idx as u32 && self.disc[c_idx] == self.disc[r_idx] {
-                    // One aliased leaf per support keeps interval
-                    // classification unambiguous.
-                    return false;
-                }
-            }
-            Some((t, r))
-        } else {
-            None
+        if f_parent == NO_PARENT || f_parent != index(q) as u32 {
+            // A root, or the single neighbour is `f`'s *child*: not a
+            // leaf.
+            return false;
+        }
+        if self.lateral_pending(q) {
+            // `q`'s cut bit is recomputed from its live tree children,
+            // which only matches the forest board when no pending entry
+            // sits on `q`'s lateral ring.
+            return false;
+        }
+        // Feasibility of the landing half.
+        if self.lateral_pending(t) {
+            // A lateral ghost denies `t` forest-leaf shape, and a lateral
+            // landing would add an occupied cardinal a pending ring
+            // certificate never saw; diagonal contact only merges ring
+            // arcs and is safe.
+            return false;
+        }
+        let Some(r) = self.graft_support(grid, t) else {
+            return false;
         };
 
         // Apply: graft `t` first so the vacate half's cut recomputation
         // sees live tree data for it.
-        if let Some((t, r)) = land {
-            let (t_idx, r_idx) = (index(t), index(r));
-            let stamp = self.disc[r_idx];
-            self.disc[t_idx] = stamp;
-            self.low[t_idx] = stamp;
-            self.high[t_idx] = stamp;
-            self.parent[t_idx] = r_idx as u32;
-        }
-        if let Some((f, q)) = vacate {
-            let (w, b) = grid.word_bit(f);
-            self.cut[w] &= !(1u64 << b);
-            self.recompute_cut_bit(grid, q);
-        }
-        if let Some((t, r)) = land {
-            let (w, b) = grid.word_bit(t);
-            self.cut[w] &= !(1u64 << b);
-            if grid.block_count() >= 3 {
-                // Any third block makes `r` a cut vertex: the new state
-                // minus `r` strands the grafted leaf.
-                let (w, b) = grid.word_bit(r);
-                self.cut[w] |= 1u64 << b;
-            }
-        }
-        // Mirror the delta into the snapshot.
-        if let Some((f, _)) = vacate {
-            let (w, b) = grid.word_bit(f);
-            self.board[w] &= !(1u64 << b);
-        }
-        if let Some((t, _)) = land {
-            let (w, b) = grid.word_bit(t);
-            self.board[w] |= 1u64 << b;
-        }
+        self.graft(grid, t, r);
+        let (w, b) = grid.word_bit(f);
+        self.cut[w] &= !(1u64 << b);
+        self.recompute_cut_bit(grid, q);
+        self.mirror(grid, f, false);
+        self.mirror(grid, t, true);
         true
+    }
+
+    /// The support a landing `t` may be grafted under: `t`'s only
+    /// occupied neighbour `r` on the live board, provided `r` is genuine
+    /// (not itself an aliased leaf) and carries no aliased leaf yet —
+    /// one aliased leaf per support keeps interval classification
+    /// unambiguous.
+    fn graft_support(&self, grid: &OccupancyGrid, t: Pos) -> Option<Pos> {
+        let width = grid.bounds().width as usize;
+        let index = |p: Pos| p.y as usize * width + p.x as usize;
+        sole_neighbour(&|p: Pos| grid.is_occupied(p), t).filter(|&r| {
+            let r_idx = index(r);
+            let r_parent = self.parent[r_idx];
+            if r_parent != NO_PARENT && self.disc[r_idx] == self.disc[r_parent as usize] {
+                return false;
+            }
+            r.neighbors4().iter().all(|&c| {
+                c == t || !grid.is_occupied(c) || {
+                    let c_idx = index(c);
+                    self.parent[c_idx] != r_idx as u32 || self.disc[c_idx] != self.disc[r_idx]
+                }
+            })
+        })
+    }
+
+    /// Grafts the landed leaf `t` under its support `r` as an aliased
+    /// leaf: `parent[t] = r` and `disc[t] = low[t] = high[t] = disc[r]`,
+    /// which keeps every preorder interval test exact (module docs).
+    fn graft(&mut self, grid: &OccupancyGrid, t: Pos, r: Pos) {
+        let width = grid.bounds().width as usize;
+        let (t_idx, r_idx) = (
+            t.y as usize * width + t.x as usize,
+            r.y as usize * width + r.x as usize,
+        );
+        let stamp = self.disc[r_idx];
+        self.disc[t_idx] = stamp;
+        self.low[t_idx] = stamp;
+        self.high[t_idx] = stamp;
+        self.parent[t_idx] = r_idx as u32;
+        let (w, b) = grid.word_bit(t);
+        self.cut[w] &= !(1u64 << b);
+        if grid.block_count() >= 3 {
+            // Any third block makes `r` a cut vertex: the new state minus
+            // `r` strands the grafted leaf.
+            let (w, b) = grid.word_bit(r);
+            self.cut[w] |= 1u64 << b;
+        }
     }
 
     /// Recomputes one cell's articulation bit from its tree children
@@ -1590,6 +1070,14 @@ impl ConnectivityOracle {
     }
 }
 
+/// The only occupied lateral neighbour of `p`, or `None` when it has none
+/// or several.
+fn sole_neighbour(occupied: &impl Fn(Pos) -> bool, p: Pos) -> Option<Pos> {
+    let mut occupied_neighbours = p.neighbors4().into_iter().filter(|&n| occupied(n));
+    let first = occupied_neighbours.next()?;
+    occupied_neighbours.next().is_none().then_some(first)
+}
+
 /// The **ring certificate**: proves `occupancy \ {f}` keeps the component
 /// structure of `occupancy`, using only the eight cells surrounding `f`.
 ///
@@ -1654,45 +1142,6 @@ fn ring_certificate(occupied: &impl Fn(Pos) -> bool, f: Pos) -> bool {
         prev = occ[i];
     }
     true
-}
-
-/// The **pair certificate**: exact verdict for a batch that vacates two
-/// cells and fills two, decided without the DFS forest.
-///
-/// Removability of the pair is proven by chaining the ring certificate —
-/// `occ \ {a}` keeps the structure of `occ`, then `occ \ {a, b}` keeps
-/// the structure of `occ \ {a}` (either order may work; both are tried).
-/// For a pre-connected ensemble the remainder is then a single component,
-/// and the verdict reduces to how the two destinations attach: each must
-/// reach the remainder directly or through the other destination.
-/// `None` when neither chaining order certifies.
-fn pair_certificate_verdict(
-    occupied: &impl Fn(Pos) -> bool,
-    block_count: usize,
-    vacated: [Pos; 2],
-    landed: [Pos; 2],
-) -> Option<bool> {
-    let [a, b] = vacated;
-    let [t0, t1] = landed;
-    let adjacent = |p: Pos, q: Pos| (p.x - q.x).abs() + (p.y - q.y).abs() == 1;
-    if block_count == 2 {
-        // Nothing remains but the two landed movers.
-        return Some(adjacent(t0, t1));
-    }
-    let chain = |first: Pos, second: Pos| -> bool {
-        ring_certificate(occupied, first)
-            && ring_certificate(&|p: Pos| p != first && occupied(p), second)
-    };
-    if !chain(a, b) && !chain(b, a) {
-        return None;
-    }
-    let touches_rest = |d: Pos| {
-        d.neighbors4()
-            .iter()
-            .any(|&q| q != a && q != b && occupied(q))
-    };
-    let (m0, m1) = (touches_rest(t0), touches_rest(t1));
-    Some((m0 && m1) || (adjacent(t0, t1) && (m0 || m1)))
 }
 
 #[cfg(test)]
@@ -1863,10 +1312,9 @@ mod tests {
 
     #[test]
     fn pair_vacates_agree_with_bfs_on_random_batches() {
-        // Genuine two-cell vacates (no hand-over cancellation): the
-        // tree-edge separating-pair path must agree with the BFS
-        // bit-for-bit, and back-edge pairs must reach the same answer
-        // through the fallback.
+        // Genuine two-cell vacates (no hand-over cancellation): no
+        // catalogue rule produces one, so the oracle hands them to the
+        // BFS, and its answer must agree bit-for-bit.
         let mut rng = SmallRng::seed_from_u64(31);
         let mut oracle = ConnectivityOracle::new();
         let mut scratch = ConnectivityScratch::new();
@@ -1901,7 +1349,6 @@ mod tests {
             }
         }
         assert!(checked > 500, "workload too small: {checked}");
-        assert!(oracle.fast_probes() > 0, "separating-pair path never taken");
     }
 
     #[test]
@@ -1998,45 +1445,6 @@ mod tests {
             patched += oracle.incremental_updates();
         }
         assert!(patched > 0, "the walks never exercised the patch path");
-    }
-
-    #[test]
-    fn back_edge_pairs_are_answered_without_the_bfs() {
-        // Perimeter ring of a 3x3 box (centre free) with a pendant on
-        // (0,2): the DFS tree is a path around the ring, so the closing
-        // edge (1,1)-(1,2) is a back edge. Vacating that pair fragments
-        // both cells' neighbour rings, the pair certificate cannot
-        // decide, and the probe must route through the back-edge
-        // separating-pair verdict — never the BFS.
-        let g = grid_from(&[
-            (1, 1),
-            (2, 1),
-            (3, 1),
-            (3, 2),
-            (3, 3),
-            (2, 3),
-            (1, 3),
-            (1, 2),
-            (0, 2),
-        ]);
-        let mut oracle = ConnectivityOracle::new();
-        let mut scratch = ConnectivityScratch::new();
-        let pair = (Pos::new(1, 1), Pos::new(1, 2));
-        // Accepted: the destinations stitch the pendant, the middle arc
-        // and each other back together.
-        let good = [(pair.0, Pos::new(2, 2)), (pair.1, Pos::new(0, 3))];
-        // Rejected: the pendant plus (0,1) split off from the middle arc.
-        let bad = [(pair.0, Pos::new(0, 1)), (pair.1, Pos::new(4, 2))];
-        for moves in [good, bad] {
-            assert_eq!(
-                oracle.preserves_connectivity(&g, &moves),
-                is_connected_after(&g, &moves, &mut scratch),
-                "back-edge pair {moves:?}"
-            );
-        }
-        assert_eq!(oracle.fallback_probes(), 0, "back-edge pairs stay O(1)");
-        assert!(oracle.preserves_connectivity(&g, &good));
-        assert!(!oracle.preserves_connectivity(&g, &bad));
     }
 
     #[test]

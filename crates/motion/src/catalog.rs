@@ -280,6 +280,40 @@ mod tests {
     }
 
     #[test]
+    fn every_catalogue_rule_is_a_net_single_relocation() {
+        // The connectivity oracle answers a batch in O(1) only when its
+        // net effect vacates and fills at most one cell each; anything
+        // wider goes to the BFS.  Carrying rules stay within that shape
+        // because their moves chain head-to-tail (Eqs. 4-5), so a new
+        // multi-block rule of another shape must fail here rather than
+        // quietly slow every probe down.
+        let catalogs = [
+            ("standard", RuleCatalog::standard()),
+            ("paper_rules_only", RuleCatalog::paper_rules_only()),
+            ("sliding_only", RuleCatalog::sliding_only()),
+            ("carrying_only", RuleCatalog::carrying_only()),
+        ];
+        for (name, catalog) in catalogs {
+            for rule in catalog.rules() {
+                let moves = rule.moves();
+                let vacated = moves
+                    .iter()
+                    .filter(|m| moves.iter().all(|n| n.to != m.from))
+                    .count();
+                let filled = moves
+                    .iter()
+                    .filter(|m| moves.iter().all(|n| n.from != m.to))
+                    .count();
+                assert!(
+                    vacated <= 1 && filled <= 1,
+                    "{name}: rule {} vacates {vacated} and fills {filled} cells net",
+                    rule.name()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn from_iterator_collects() {
         let catalog: RuleCatalog = crate::rules::base_rules().into_iter().collect();
         assert_eq!(catalog.len(), 2);

@@ -94,10 +94,9 @@ impl fmt::Display for PlannedMotion {
 /// per world state and patched incrementally across leaf relocations,
 /// answering single-block probes **and** the catalogue's carrying
 /// batches in O(1) — every carrying chain reduces to a net single move,
-/// and genuine two-cell vacates are settled by separating-pair reasoning
-/// on the DFS tree, with the scratch BFS only as the exactness backstop
-/// for the shapes the tree cannot decide); and the boolean feasibility
-/// queries
+/// with the scratch BFS as the exactness backstop for every other shape
+/// and the few single moves the tree cannot decide); and the boolean
+/// feasibility queries
 /// ([`MotionPlanner::can_move_towards`] and friends) additionally
 /// short-circuit at the first admissible motion and reuse internal
 /// scratch buffers, performing **zero heap allocations after warm-up**.

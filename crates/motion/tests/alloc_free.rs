@@ -300,8 +300,9 @@ fn connectivity_oracle_edit_log_shuttle_allocates_nothing() {
     // ring-certificate edit log (ghost push, graft, tail-pop) rather
     // than the pendant or leaf patches.  Probes stay on the far side of
     // the slab — single moves answered by the stateless certificate and
-    // pair vacates answered on the edited forest — so the pending trail
-    // never forces a rebuild, and none of it may allocate after warm-up.
+    // pair vacates answered by the BFS on its retained scratch — so the
+    // pending trail never forces a rebuild, and none of it may allocate
+    // after warm-up.
     use sb_grid::{BlockId, Bounds, OccupancyGrid, Pos};
 
     let mut grid = OccupancyGrid::new(Bounds::new(12, 6));
@@ -327,8 +328,8 @@ fn connectivity_oracle_edit_log_shuttle_allocates_nothing() {
             admitted += usize::from(
                 oracle.preserves_connectivity(grid, &[(Pos::new(7, 1), Pos::new(6, 2))]),
             );
-            // Far-side pair vacate: separating-pair reasoning on the
-            // edited forest (the trail is nowhere near the pair).
+            // Far-side pair vacate: no catalogue shape, so the BFS
+            // answers it on its retained scratch.
             let pair = [
                 (Pos::new(6, 1), Pos::new(5, 2)),
                 (Pos::new(7, 1), Pos::new(6, 2)),

@@ -4,7 +4,7 @@
 //! every geometrically valid batch — random single-block moves (adjacent
 //! hops and longer repositionings), the carrying batches the rule
 //! catalogue actually produces, genuine two-cell vacates on cut-vertex
-//! chains and ribbon turns (the separating-pair path), and the
+//! chains and ribbon turns (which the oracle hands to the BFS), and the
 //! `sparse_wide` geometry where the articulation reasoning is most at
 //! risk.
 
@@ -98,12 +98,10 @@ proptest! {
     }
 
     /// Carrying-batch-heavy geometries: supported pairs marching along
-    /// cut-vertex chains and around 2-thick ribbon turns — the
-    /// separating-pair decision's hardest substrate, where the vacated
-    /// pair is sometimes a tree edge (O(1) path) and sometimes a back
-    /// edge across a turn (BFS fallback), and both must match the BFS
-    /// bit-for-bit.  Catalogue-style hand-over chains must additionally
-    /// never touch the BFS on these connected states.
+    /// cut-vertex chains and around 2-thick ribbon turns.  Genuine
+    /// two-cell vacates, which no catalogue rule produces, go to the BFS
+    /// and must match it bit-for-bit; catalogue-style hand-over chains
+    /// must additionally never touch the BFS on these connected states.
     #[test]
     fn pair_batches_agree_with_bfs_on_chains_and_ribbons(
         rows in 2usize..5,
@@ -220,9 +218,10 @@ proptest! {
 /// regime the PR 9 incremental maintenance lives in, with a journeying
 /// mover leaving a ghost/missing trail behind it — and must, at every
 /// epoch, agree bit-for-bit with the scratch BFS on every single-move
-/// verdict and on pair vacates around the mover, and, at checkpoints,
-/// agree with a freshly built oracle on the complete articulation state
-/// (component count, per-block cut verdicts and the raw cut mask).
+/// verdict and on pair vacates around the mover (the BFS's share), and,
+/// at checkpoints, agree with a freshly built oracle on the complete
+/// articulation state (component count, per-block cut verdicts and the
+/// raw cut mask).
 #[test]
 fn random_walk_differential_over_all_families() {
     use rand::rngs::SmallRng;
@@ -319,8 +318,8 @@ fn random_walk_differential_over_all_families() {
                         );
                     }
                 }
-                // Pair vacates around the mover (separating-pair path
-                // with the pending trail nearby).
+                // Pair vacates around the mover (BFS fallbacks with the
+                // pending trail nearby).
                 for b in to.neighbors4() {
                     if !grid.is_occupied(b) {
                         continue;

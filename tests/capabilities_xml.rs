@@ -28,6 +28,34 @@ fn shipped_capability_file_matches_fig7() {
 }
 
 #[test]
+fn shipped_capability_rules_are_net_single_relocations() {
+    // The connectivity oracle answers a batch in O(1) only when its net
+    // effect vacates and fills at most one cell each (see the catalogue
+    // test of the same premise); the shipped file must keep to it.
+    let text = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/data/capabilities.xml"
+    ))
+    .unwrap();
+    for rule in parse_capabilities(&text).unwrap().rules() {
+        let moves = rule.moves();
+        let vacated = moves
+            .iter()
+            .filter(|m| moves.iter().all(|n| n.to != m.from))
+            .count();
+        let filled = moves
+            .iter()
+            .filter(|m| moves.iter().all(|n| n.from != m.to))
+            .count();
+        assert!(
+            vacated <= 1 && filled <= 1,
+            "rule {} vacates {vacated} and fills {filled} cells net",
+            rule.name()
+        );
+    }
+}
+
+#[test]
 fn standard_catalog_round_trips_through_the_schema() {
     let catalog = RuleCatalog::standard();
     let text = write_capabilities(&catalog);
