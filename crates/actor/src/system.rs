@@ -31,11 +31,13 @@ pub struct ActorRunReport<W> {
     pub elapsed: Duration,
 }
 
+/// How often idle actor threads re-check the stop flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
+
 /// A system of actors sharing a world, one OS thread per actor.
 pub struct ActorSystem<M, W> {
     actors: Vec<Box<dyn Actor<M, W>>>,
     world: W,
-    poll_interval: Duration,
 }
 
 impl<M, W> ActorSystem<M, W>
@@ -48,14 +50,7 @@ where
         ActorSystem {
             actors: Vec::new(),
             world,
-            poll_interval: Duration::from_millis(1),
         }
-    }
-
-    /// How often idle actor threads re-check the stop flag (default 1 ms).
-    pub fn with_poll_interval(mut self, interval: Duration) -> Self {
-        self.poll_interval = interval;
-        self
     }
 
     /// Registers an actor.  Identifiers are assigned in registration
@@ -75,11 +70,7 @@ where
     /// elapses, whichever comes first, then joins every thread and
     /// returns the world together with run statistics.
     pub fn run(self, deadline: Duration) -> ActorRunReport<W> {
-        let ActorSystem {
-            actors,
-            world,
-            poll_interval,
-        } = self;
+        let ActorSystem { actors, world } = self;
         let n = actors.len();
         let mut senders = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<MailItem<M>>> = Vec::with_capacity(n);
@@ -223,7 +214,7 @@ where
                     };
                     actor.on_start(&mut ctx);
                     loop {
-                        match rx.recv_timeout(poll_interval) {
+                        match rx.recv_timeout(POLL_INTERVAL) {
                             Ok(MailItem::Message { from, payload }) => {
                                 shared_ref
                                     .messages_delivered

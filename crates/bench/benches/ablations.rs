@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md:
+//! Ablation benchmarks for three design choices of the reproduction:
 //!
 //! 1. rule-catalogue breadth (standard extended set vs the two rule
 //!    families printed in the paper vs sliding-only);

@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 fn bench_fig10(c: &mut Criterion) {
     // Print the experiment row once, so `cargo bench` output doubles as
-    // the reproduction record for EXPERIMENTS.md.
+    // the reproduction record of the paper's worked example.
     let report = fig10_driver().run_des();
     println!(
         "\n== Fig. 10/11 worked example (paper: 55 block moves, 12 blocks, path of 11 cells) =="

@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_bench::column_config;
+use sb_grid::ConnectivityOracle;
 use sb_motion::{MotionPlanner, PresenceMatrix, RuleCatalog};
 use sb_rules_xml::{parse_capabilities, write_capabilities};
 use std::hint::black_box;
@@ -27,12 +28,15 @@ fn bench_rule_engine(c: &mut Criterion) {
     // Planner query on a realistic mid-reconfiguration grid.
     let config = column_config(16);
     let planner = MotionPlanner::standard();
+    let mut oracle = ConnectivityOracle::new();
     let positions: Vec<_> = config.grid().blocks().map(|(_, p)| p).collect();
     group.bench_function("planner_motions_involving_16_blocks", |b| {
         b.iter(|| {
             let mut count = 0usize;
             for &p in &positions {
-                count += planner.motions_involving(config.grid(), p).len();
+                count += planner
+                    .motions_involving(config.grid(), p, &mut oracle)
+                    .len();
             }
             black_box(count)
         })
@@ -48,7 +52,9 @@ fn bench_rule_engine(c: &mut Criterion) {
         b.iter(|| {
             let mut count = 0usize;
             for &p in &positions32 {
-                count += planner32.motions_involving(config32.grid(), p).len();
+                count += planner32
+                    .motions_involving(config32.grid(), p, &mut oracle)
+                    .len();
             }
             black_box(count)
         })
@@ -66,11 +72,17 @@ fn bench_rule_engine(c: &mut Criterion) {
     });
     // The election's Eq. (9) feasibility probe: short-circuit, zero-alloc.
     let output32 = config32.output();
-    group.bench_function("planner_can_move_towards_n32", |b| {
+    group.bench_function("planner_any_motion_towards_n32", |b| {
         b.iter(|| {
             let mut count = 0usize;
             for &p in &positions32 {
-                count += usize::from(planner32.can_move_towards(config32.grid(), p, output32));
+                count += usize::from(planner32.any_motion_towards(
+                    config32.grid(),
+                    p,
+                    output32,
+                    |_| true,
+                    &mut oracle,
+                ));
             }
             black_box(count)
         })

@@ -13,7 +13,7 @@ use crate::reliability::{Envelope, ReliabilityConfig};
 use crate::runtime::{BlockHarness, FaultInjection, CONTROL_BIT};
 use crate::world::{MotionModel, MoveRecord, MoveRule, Outcome, SurfaceWorld};
 use sb_actor::ActorSystem;
-use sb_desim::{Duration as SimDuration, FaultPlan, NetworkModel, SimTime, Simulator};
+use sb_desim::{FaultPlan, NetworkModel, SimTime, Simulator};
 use sb_grid::SurfaceConfig;
 use sb_motion::RuleCatalog;
 use std::fmt;
@@ -354,7 +354,8 @@ impl ReconfigurationDriver {
     /// its module mapping installed (block ids ascending); one harness per
     /// block in that order, the Root being the block on the input cell;
     /// and, with a fault injected, the kernel plan of the victim's dead
-    /// window, whose harness already carries the schedule.
+    /// window, whose harness already carries the schedule.  A relay fault
+    /// on a lone Root has no victim and injects nothing.
     fn deploy(&self) -> (SurfaceWorld, Vec<BlockHarness>, Option<FaultPlan>) {
         let mut world = self.build_world();
         let order = world.grid().block_ids_sorted();
@@ -366,11 +367,9 @@ impl ReconfigurationDriver {
             .iter()
             .position(|&b| b == root)
             .expect("the Root is in the module order");
-        let victim = self.faults.map(|f| {
-            (
-                f.victim_index(order.len(), root_index, self.sim_seed),
-                f.schedule,
-            )
+        let victim = self.faults.and_then(|f| {
+            f.victim_index(order.len(), root_index, self.sim_seed)
+                .map(|index| (index, f.schedule))
         });
         let harnesses = order
             .into_iter()
@@ -419,18 +418,12 @@ impl ReconfigurationDriver {
         report.timed_out = run.timed_out;
         report
     }
-
-    /// Convenience: simulated duration of the discrete-event run expressed
-    /// as a [`sb_desim::Duration`] (zero for actor-runtime reports, which
-    /// have no simulated clock).
-    pub fn sim_duration(report: &ReconfigurationReport) -> SimDuration {
-        SimDuration::micros(report.sim_time_us.unwrap_or(0))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{FaultSchedule, FaultVictim};
     use crate::workloads;
 
     #[test]
@@ -526,6 +519,28 @@ mod tests {
             assert_eq!(sim.world().move_log(), report.move_log.as_slice());
             assert_eq!(Some(stats.events_processed), report.events_processed);
         }
+    }
+
+    #[test]
+    fn relay_fault_on_a_lone_root_injects_nothing() {
+        let cfg = SurfaceConfig::from_ascii(
+            "O .\n\
+             . .\n\
+             I .",
+        )
+        .unwrap();
+        let faults = FaultInjection {
+            victim: FaultVictim::SeededRelay,
+            schedule: FaultSchedule {
+                crash_at_us: 100,
+                rejoin_at_us: None,
+            },
+        };
+        let report = ReconfigurationDriver::new(cfg)
+            .with_faults(Some(faults))
+            .run_des();
+        assert!(report.stalled, "{report}");
+        assert_eq!(report.metrics.crashes_injected, 0);
     }
 
     #[test]

@@ -129,25 +129,24 @@ pub struct FaultInjection {
 
 impl FaultInjection {
     /// Resolves the victim to a module index given the module order and
-    /// the Root's position in it.
+    /// the Root's position in it; `None` for a relay victim when the Root
+    /// is the only module.
     pub(crate) fn victim_index(
         &self,
         module_count: usize,
         root_index: usize,
         sim_seed: u64,
-    ) -> usize {
+    ) -> Option<usize> {
         match self.victim {
-            FaultVictim::Root => root_index,
+            FaultVictim::Root => Some(root_index),
             FaultVictim::SeededRelay => {
-                debug_assert!(module_count > 1, "a relay needs a non-Root module");
+                if module_count < 2 {
+                    return None;
+                }
                 let pick = sb_desim::network::splitmix64(sim_seed ^ 0xFA01_7BA5) as usize;
                 let slot = pick % (module_count - 1);
                 // Skip over the Root: the relay is the slot-th non-Root.
-                if slot >= root_index {
-                    slot + 1
-                } else {
-                    slot
-                }
+                Some(if slot >= root_index { slot + 1 } else { slot })
             }
         }
     }

@@ -10,10 +10,9 @@
 
 use crate::messages::Distance;
 use crate::metrics::Metrics;
-use sb_grid::graph::{OrientedGraph, UNREACHABLE};
+use sb_grid::graph::OrientedGraph;
 use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog, RuleId};
-use std::cell::{Ref, RefCell};
 use std::fmt;
 
 /// Which motion feasibility model the world enforces.
@@ -97,45 +96,25 @@ pub struct SurfaceWorld {
     outcome: Option<Outcome>,
     frames: Vec<String>,
     record_frames: bool,
-    /// The occupancy-derived caches, all keyed by the grid's epoch
-    /// counter (see [`WorldCache`]).
-    cache: RefCell<WorldCache>,
-}
-
-/// Memoised views of the current occupancy, unified under one epoch
-/// discipline: each entry records the [`OccupancyGrid::epoch`] it was
-/// computed at and is rebuilt lazily once the grid's epoch moves past it
-/// (a block moved in [`SurfaceWorld::hop_towards_output`]).  This
-/// replaces the historical ad-hoc `RefCell<Option<…>>` whose consumers
-/// had to remember to null it out after every mutation.
-#[derive(Debug, Default)]
-struct WorldCache {
     /// Cut-vertex connectivity oracle serving every Remark 1 probe of the
     /// election (Eq. 9 feasibility and hop enumeration); it tracks grid
     /// epochs internally.
     oracle: ConnectivityOracle,
-    /// Grid epoch `path_field` was computed at.
-    path_epoch: Option<u64>,
-    /// Flat BFS distance field over *occupied* cells of `G`
-    /// ([`OrientedGraph::occupied_distance_field`]: hops from `I` per
-    /// cell index, `u32::MAX` when unreachable).
-    /// [`SurfaceWorld::path_complete`] — asked by every `SelectAck`
-    /// reaching the Root — reads the output cell's entry instead of
-    /// re-running a BFS per ask.
-    path_field: Option<Vec<u32>>,
+    /// Whether the occupancy holds a complete occupied shortest path,
+    /// evaluated wherever the occupancy changes (construction and
+    /// [`SurfaceWorld::hop_towards_output`]), so the Root's ask after
+    /// every election allocates nothing.
+    path_complete: bool,
 }
 
 impl SurfaceWorld {
     /// Creates a world around a problem instance with the given rule
     /// catalogue and motion model.
     pub fn new(config: SurfaceConfig, catalog: RuleCatalog, motion_model: MotionModel) -> Self {
-        let planner = match motion_model {
-            MotionModel::RuleBased => MotionPlanner::new(catalog),
-            MotionModel::FreeMotion => MotionPlanner::new(catalog).without_connectivity_check(),
-        };
+        let path_complete = config.graph().occupied_shortest_path_exists(config.grid());
         SurfaceWorld {
             config,
-            planner,
+            planner: MotionPlanner::new(catalog),
             motion_model,
             metrics: Metrics::default(),
             move_log: Vec::new(),
@@ -144,7 +123,8 @@ impl SurfaceWorld {
             outcome: None,
             frames: Vec::new(),
             record_frames: false,
-            cache: RefCell::new(WorldCache::default()),
+            oracle: ConnectivityOracle::new(),
+            path_complete,
         }
     }
 
@@ -188,11 +168,6 @@ impl SurfaceWorld {
     /// Block hosted by a module index.
     pub fn block_of_module(&self, index: usize) -> Option<BlockId> {
         self.block_of.get(index).copied()
-    }
-
-    /// Blocks in module order.
-    pub fn module_order(&self) -> &[BlockId] {
-        &self.block_of
     }
 
     // ----- read-only geometry -------------------------------------------------
@@ -334,34 +309,6 @@ impl SurfaceWorld {
         locked_cell(pos, self.input(), self.output(), &self.config.graph())
     }
 
-    /// The memoised flat BFS distance field over occupied cells of `G`
-    /// (hops from `I` through blocks along oriented links, keyed by
-    /// [`sb_grid::Bounds::index_of`], `u32::MAX` when unreachable).
-    /// Recomputed lazily, only after the grid's epoch has moved (a block
-    /// moved).
-    pub fn occupied_distance_field(&self) -> Ref<'_, Vec<u32>> {
-        let epoch = self.grid().epoch();
-        // Only take the mutable borrow when the cache is actually stale:
-        // a caller may hold a previously returned `Ref` while asking
-        // again (e.g. via `path_complete`), and an unconditional
-        // `borrow_mut` would panic on that re-entrant read.  (A held
-        // `Ref` borrows the world, so the grid cannot have moved since —
-        // the stale path is unreachable in that situation.)
-        let stale = self.cache.borrow().path_epoch != Some(epoch);
-        if stale {
-            let field = self
-                .config
-                .graph()
-                .occupied_distance_field(self.config.grid());
-            let mut cache = self.cache.borrow_mut();
-            cache.path_field = Some(field);
-            cache.path_epoch = Some(epoch);
-        }
-        Ref::map(self.cache.borrow(), |cache| {
-            cache.path_field.as_ref().expect("filled above")
-        })
-    }
-
     /// The admissible motions for the block at `pos` towards the output,
     /// already filtered by the locking policy and ordered by the driver's
     /// preference: motions whose subject enters a path cell first, then
@@ -370,10 +317,9 @@ impl SurfaceWorld {
     fn admissible_motions_towards_output(&mut self, pos: Pos) -> Vec<PlannedMotion> {
         self.metrics.rule_checks += 1;
         let output = self.output();
-        let oracle = &mut self.cache.borrow_mut().oracle;
         let mut motions: Vec<PlannedMotion> = self
             .planner
-            .motions_towards_with(self.config.grid(), pos, output, oracle)
+            .motions_towards(self.config.grid(), pos, output, &mut self.oracle)
             .into_iter()
             .filter(|m| m.moves.iter().all(|&(from, _)| !self.is_locked(from)))
             .collect();
@@ -415,11 +361,11 @@ impl SurfaceWorld {
 
     /// The Eq. (9) feasibility probe behind [`SurfaceWorld::distance_to_output`].
     ///
-    /// Under the rule-based model this routes through the planner's
-    /// short-circuiting fast path — stop at the first admissible motion,
-    /// no `PlannedMotion` materialised, no sorting, no heap allocation
-    /// after warm-up — rather than enumerating every admissible motion
-    /// only to test the list for emptiness.  The locking policy is passed
+    /// Under the rule-based model this asks the planner's Eq. (9) probe,
+    /// which stops at the first admissible motion — no `PlannedMotion`
+    /// materialised, no sorting, no heap allocation after warm-up —
+    /// rather than enumerating every admissible motion only to test the
+    /// list for emptiness.  The locking policy is passed
     /// down as the admission filter, so the answer is exactly
     /// `!admissible_motions_towards_output(pos).is_empty()`.
     fn can_hop_towards_output(&mut self, pos: Pos) -> bool {
@@ -429,8 +375,7 @@ impl SurfaceWorld {
                 let input = self.config.input();
                 let output = self.config.output();
                 let graph = self.config.graph();
-                let oracle = &mut self.cache.borrow_mut().oracle;
-                self.planner.any_motion_towards_with(
+                self.planner.any_motion_towards(
                     self.config.grid(),
                     pos,
                     output,
@@ -439,7 +384,7 @@ impl SurfaceWorld {
                             .iter()
                             .all(|&(from, _)| !locked_cell(from, input, output, &graph))
                     },
-                    oracle,
+                    &mut self.oracle,
                 )
             }
             MotionModel::FreeMotion => !self.free_motion_destinations(pos).is_empty(),
@@ -528,8 +473,12 @@ impl SurfaceWorld {
                 }
             }
         }
-        // No cache invalidation needed: the mutations above advanced the
-        // grid's epoch, which every derived cache keys on.
+        // The mutations above advanced the grid's epoch, which the oracle
+        // keys on.
+        self.path_complete = self
+            .config
+            .graph()
+            .occupied_shortest_path_exists(self.config.grid());
         self.metrics.elementary_moves += moves.len() as u64;
         self.metrics.elected_hops += 1;
         self.move_log.push(MoveRecord {
@@ -554,12 +503,10 @@ impl SurfaceWorld {
         self.grid().is_occupied(self.output())
     }
 
-    /// Whether a complete shortest path of blocks connects `I` to `O`:
-    /// the output cell's entry of the memoised occupied distance field is
-    /// finite.  Recomputed only after a block has actually moved.
+    /// Whether a complete shortest path of blocks connects `I` to `O`
+    /// inside `G`.
     pub fn path_complete(&self) -> bool {
-        let output_idx = self.grid().bounds().index_of(self.output());
-        self.occupied_distance_field()[output_idx] != UNREACHABLE
+        self.path_complete
     }
 
     /// The occupied shortest path, if complete.
@@ -587,16 +534,13 @@ impl SurfaceWorld {
     /// A copy of the accumulated metrics with the connectivity oracle's
     /// lifetime counters folded in — the rebuild and incremental-update
     /// counts and the number of Remark 1 probes that had to leave the
-    /// O(1) block-cut-tree path for the scratch BFS.  The oracle lives in
-    /// the world's occupancy cache rather than in `Metrics` (its counters
-    /// advance inside immutable probes), so reporting snapshots them on
-    /// demand.
+    /// O(1) block-cut-tree path for the scratch BFS.  The oracle keeps
+    /// its own counters, so reporting snapshots them on demand.
     pub fn metrics_with_connectivity(&self) -> Metrics {
-        let cache = self.cache.borrow();
         let mut metrics = self.metrics;
-        metrics.connectivity_rebuilds = cache.oracle.rebuilds();
-        metrics.connectivity_fallback_probes = cache.oracle.fallback_probes();
-        metrics.connectivity_incremental_updates = cache.oracle.incremental_updates();
+        metrics.connectivity_rebuilds = self.oracle.rebuilds();
+        metrics.connectivity_fallback_probes = self.oracle.fallback_probes();
+        metrics.connectivity_incremental_updates = self.oracle.incremental_updates();
         metrics
     }
 
@@ -823,18 +767,12 @@ mod tests {
         .unwrap();
         let mut w = SurfaceWorld::standard(cfg);
         assert!(!w.path_complete());
-        assert!(!w.path_complete(), "cached answer stays correct");
         let finisher = w.grid().block_at(Pos::new(1, 3)).unwrap();
         let result = w.hop_towards_output(finisher, 1);
         assert!(result.moved);
         assert!(result.reached_output);
-        // A stale cache would still answer `false` here: the hop must
-        // invalidate it.
+        // A stale answer would still be `false` here.
         assert!(w.path_complete());
-        // The memoised field agrees with a fresh graph computation.
-        let graph = w.config().graph();
-        let fresh = graph.occupied_distance_field(w.grid());
-        assert_eq!(*w.occupied_distance_field(), fresh);
     }
 
     #[test]

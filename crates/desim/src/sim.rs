@@ -303,11 +303,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         self.kernel.stop_requested
     }
 
-    /// Clears a previous stop request so the run can resume.
-    pub fn clear_stop(&mut self) {
-        self.kernel.stop_requested = false;
-    }
-
     /// Read access to a module's block code (e.g. to extract results
     /// after the run).  Returns `None` for out-of-range identifiers.
     pub fn module(&self, id: ModuleId) -> Option<&C> {
@@ -390,12 +385,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         }
         self.kernel.stats.wall_elapsed += start.elapsed();
         self.kernel.stats
-    }
-
-    /// Runs for `span` of simulated time from the current instant.
-    pub fn run_for(&mut self, span: Duration) -> SimStats {
-        let deadline = self.kernel.now + span;
-        self.run_until(deadline)
     }
 
     /// Processes at most `n` events (used by drivers that interleave

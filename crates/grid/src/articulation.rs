@@ -146,7 +146,7 @@ enum EditKind {
 
 /// Cut-vertex connectivity oracle (see the module docs).
 ///
-/// Create once per planner or world and pass to every probe; the oracle
+/// Create once per world and pass to every probe; the oracle
 /// tracks grid epochs internally and rebuilds its cut-vertex mask lazily.
 #[derive(Clone, Debug, Default)]
 pub struct ConnectivityOracle {
@@ -187,7 +187,7 @@ pub struct ConnectivityOracle {
     stack: Vec<u64>,
     /// Occupancy snapshot of the *live* board (word layout identical to
     /// the grid's): diffed against the live board on an epoch change to
-    /// patch leaf relocations without a full rebuild.  The forest may
+    /// absorb single relocations without a full rebuild.  The forest may
     /// describe a slightly different occupancy — see `edits`.
     board: Vec<u64>,
     /// The pending **edit log**: ring-certified single-cell differences
@@ -320,8 +320,10 @@ impl ConnectivityOracle {
         self.rebuilds
     }
 
-    /// Epoch changes absorbed by an O(1) incremental patch (leaf
-    /// relocations and occupancy-identical clones) instead of a rebuild.
+    /// Epoch changes absorbed without a full Tarjan pass: occupancy-
+    /// identical epochs and single relocations `f → t` the light sync
+    /// certifies (a leaf patch, an edit-log entry, or a forest left to
+    /// rebuild lazily).
     pub fn incremental_updates(&self) -> u64 {
         self.incremental_updates
     }

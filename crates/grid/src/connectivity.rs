@@ -22,24 +22,6 @@ pub fn is_connected(grid: &OccupancyGrid) -> bool {
     reachable_from(grid, start, None).len() == n
 }
 
-/// Number of 4-connected components of the occupied cells.
-pub fn connected_components(grid: &OccupancyGrid) -> usize {
-    let mut seen: BTreeSet<Pos> = BTreeSet::new();
-    let mut components = 0;
-    let mut all: Vec<Pos> = grid.blocks().map(|(_, p)| p).collect();
-    all.sort();
-    for p in all {
-        if seen.contains(&p) {
-            continue;
-        }
-        components += 1;
-        for q in reachable_from(grid, p, None) {
-            seen.insert(q);
-        }
-    }
-    components
-}
-
 /// The occupied positions reachable from `start` through occupied cells,
 /// optionally pretending that `skip` is empty (used to test articulation).
 /// The ordered set keeps every consumer's iteration deterministic.
@@ -160,7 +142,7 @@ pub fn articulation_points(grid: &OccupancyGrid) -> Vec<BlockId> {
 }
 
 /// Reusable buffers for the zero-allocation connectivity probes.  Created
-/// once (e.g. per planner) and resized lazily to the grid; after that
+/// once (e.g. per oracle) and resized lazily to the grid; after that
 /// warm-up, [`is_connected_after`] performs no heap allocation.
 #[derive(Clone, Debug, Default)]
 pub struct ConnectivityScratch {
@@ -217,8 +199,8 @@ impl ConnectivityScratch {
 ///
 /// The batch must already be geometrically valid (sources occupied,
 /// destinations on the surface and free or vacated by the batch) — rule
-/// matching guarantees that for planned motions; use
-/// [`moves_preserve_connectivity`] when validation is also needed.
+/// matching guarantees that for planned motions; check
+/// [`OccupancyGrid::validate_simultaneous_moves`] first otherwise.
 pub fn is_connected_after(
     grid: &OccupancyGrid,
     moves: &[(Pos, Pos)],
@@ -373,22 +355,6 @@ mod board_cache_tests {
     }
 }
 
-/// Checks whether applying the given batch of simultaneous elementary
-/// moves keeps the ensemble connected (Remark 1).  The caller's grid is
-/// never mutated — and, unlike the historical implementation, never
-/// *cloned* either: the batch is validated in place
-/// ([`OccupancyGrid::validate_simultaneous_moves`]) and connectivity is
-/// evaluated on the post-move bitboard view ([`is_connected_after`]).
-/// Hot paths that issue many probes should hold a [`ConnectivityScratch`]
-/// and call [`is_connected_after`] directly; callers with `&mut` access
-/// can equivalently use the [`OccupancyGrid::with_moves_applied`] journal.
-pub fn moves_preserve_connectivity(grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
-    if grid.validate_simultaneous_moves(moves).is_err() {
-        return false;
-    }
-    is_connected_after(grid, moves, &mut ConnectivityScratch::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,17 +372,14 @@ mod tests {
     fn empty_and_singleton_are_connected() {
         let g = OccupancyGrid::new(Bounds::new(4, 4));
         assert!(is_connected(&g));
-        assert_eq!(connected_components(&g), 0);
         let g = grid_from(&[(2, 2)]);
         assert!(is_connected(&g));
-        assert_eq!(connected_components(&g), 1);
     }
 
     #[test]
     fn l_shape_is_connected() {
         let g = grid_from(&[(0, 0), (1, 0), (1, 1), (1, 2)]);
         assert!(is_connected(&g));
-        assert_eq!(connected_components(&g), 1);
     }
 
     #[test]
@@ -425,7 +388,6 @@ mod tests {
         // 4-adjacency used by the lateral magnet contacts.
         let g = grid_from(&[(0, 0), (1, 1)]);
         assert!(!is_connected(&g));
-        assert_eq!(connected_components(&g), 2);
     }
 
     #[test]
@@ -484,17 +446,20 @@ mod tests {
     }
 
     #[test]
-    fn moves_preserve_connectivity_detects_split() {
-        // Moving the middle block of an L away splits the shape.
+    fn is_connected_after_detects_split() {
+        // Moving the middle block of a line away splits the shape.
         let g = grid_from(&[(0, 0), (1, 0), (2, 0)]);
-        assert!(!moves_preserve_connectivity(
+        let mut scratch = ConnectivityScratch::new();
+        assert!(!is_connected_after(
             &g,
-            &[(Pos::new(1, 0), Pos::new(1, 1))]
+            &[(Pos::new(1, 0), Pos::new(1, 1))],
+            &mut scratch
         ));
         // Moving an endpoint around the corner keeps it connected.
-        assert!(moves_preserve_connectivity(
+        assert!(is_connected_after(
             &g,
-            &[(Pos::new(2, 0), Pos::new(1, 1))]
+            &[(Pos::new(2, 0), Pos::new(1, 1))],
+            &mut scratch
         ));
     }
 
@@ -529,11 +494,9 @@ mod tests {
             }
             let moves = [(from, to)];
             let fast = is_connected_after(&g, &moves, &mut scratch);
-            let journalled = g
-                .with_moves_applied(&moves, |trial| trial.is_connected())
-                .unwrap();
-            assert_eq!(fast, journalled, "moves {moves:?}");
-            assert_eq!(fast, moves_preserve_connectivity(&g, &moves));
+            let mut trial = g.clone();
+            trial.apply_simultaneous_moves(&moves).unwrap();
+            assert_eq!(fast, trial.is_connected(), "moves {moves:?}");
         }
     }
 

@@ -139,42 +139,11 @@ impl OrientedGraph {
         path
     }
 
-    /// BFS distance (in hops of `G`, i.e. following oriented links only)
-    /// from `I` to every node of `Br`.
-    pub fn distances_from_input(&self) -> BTreeMap<Pos, u32> {
-        self.distance_field()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &d)| d != UNREACHABLE)
-            .map(|(idx, &d)| (self.bounds.pos_of(idx), d))
-            .collect()
-    }
-
-    /// Flat variant of [`OrientedGraph::distances_from_input`]: one `u32`
-    /// per surface cell keyed by [`Bounds::index_of`], [`UNREACHABLE`] for
-    /// cells outside `Br`.  Geometry-only, so the field is computed once
-    /// and cached by consumers (e.g. the reconfiguration world) — nothing
-    /// here depends on occupancy.
-    pub fn distance_field(&self) -> Vec<u32> {
-        // Every node of Br is reachable from I along oriented links, and
-        // its BFS distance equals its Manhattan distance to I; computing
-        // it directly avoids the queue entirely.
-        let mut field = vec![UNREACHABLE; self.bounds.area()];
-        for y in self.min.y..=self.max.y {
-            for x in self.min.x..=self.max.x {
-                let p = Pos::new(x, y);
-                field[self.bounds.index_of(p)] = p.manhattan(self.input);
-            }
-        }
-        field
-    }
-
     /// BFS distance from `I` to every cell of `Br` travelling only through
-    /// *occupied* cells along oriented links: the occupancy-aware
-    /// counterpart of [`OrientedGraph::distance_field`].  The output cell's
-    /// entry is finite exactly when a complete occupied shortest path
-    /// exists, so consumers can cache this field and invalidate it only
-    /// when a block actually moves.
+    /// *occupied* cells along oriented links, one `u32` per surface cell
+    /// keyed by [`Bounds::index_of`] ([`UNREACHABLE`] when no such path
+    /// exists).  The output cell's entry is finite exactly when a complete
+    /// occupied shortest path exists.
     pub fn occupied_distance_field(&self, grid: &OccupancyGrid) -> Vec<u32> {
         let mut field = vec![UNREACHABLE; self.bounds.area()];
         if !grid.is_occupied(self.input) {
@@ -322,39 +291,6 @@ mod tests {
         for w in p.windows(2) {
             assert!(w[0].is_adjacent4(w[1]));
             assert!(w[1].manhattan(g.output()) < w[0].manhattan(g.output()));
-        }
-    }
-
-    #[test]
-    fn distances_from_input_follow_manhattan() {
-        let g = graph_10x7();
-        // Independent oracle: a literal BFS over `successors()`, the
-        // definition the closed-form `distance_field` must reproduce.
-        let mut bfs: BTreeMap<Pos, u32> = BTreeMap::new();
-        bfs.insert(g.input(), 0);
-        let mut queue = VecDeque::from([g.input()]);
-        while let Some(p) = queue.pop_front() {
-            let d = bfs[&p];
-            for s in g.successors(p) {
-                bfs.entry(s).or_insert_with(|| {
-                    queue.push_back(s);
-                    d + 1
-                });
-            }
-        }
-        let dist = g.distances_from_input();
-        assert_eq!(dist, bfs);
-        assert_eq!(dist.len(), g.nodes().len());
-        for (p, d) in &dist {
-            assert_eq!(*d, p.manhattan(g.input()));
-        }
-        // The flat field agrees with the map on every cell.
-        let field = g.distance_field();
-        for p in g.bounds().iter() {
-            match dist.get(&p) {
-                Some(&d) => assert_eq!(field[g.bounds().index_of(p)], d),
-                None => assert_eq!(field[g.bounds().index_of(p)], UNREACHABLE),
-            }
         }
     }
 

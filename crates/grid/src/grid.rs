@@ -439,44 +439,6 @@ impl OccupancyGrid {
         Ok(())
     }
 
-    /// Applies a batch of simultaneous moves, runs `f` on the mutated
-    /// grid, then **undoes the batch**, restoring the grid bit-for-bit.
-    ///
-    /// This is the journalled trial API used for Remark 1 connectivity
-    /// probes and any other "what if" query: it replaces the historical
-    /// clone-the-whole-grid idiom (dense cell array plus id index copied
-    /// per candidate motion) with an in-place apply → observe → revert
-    /// round-trip whose cost is proportional to the batch size only.
-    pub fn with_moves_applied<R>(
-        &mut self,
-        moves: &[(Pos, Pos)],
-        f: impl FnOnce(&OccupancyGrid) -> R,
-    ) -> Result<R, GridError> {
-        let moved = self.apply_simultaneous_moves(moves)?;
-        let result = f(self);
-        // Undo journal: clear every destination, then refill every source
-        // with the block that left it (exact inverse of the forward order,
-        // so hand-over chains restore correctly).
-        for &(_, to) in moves {
-            let idx = self.bounds.index_of(to);
-            self.cells[idx] = None;
-            self.clear_bit(to);
-        }
-        for (i, &(from, _)) in moves.iter().enumerate() {
-            let id = moved[i];
-            let idx = self.bounds.index_of(from);
-            debug_assert!(self.cells[idx].is_none());
-            self.cells[idx] = Some(id);
-            self.set_bit(from);
-            self.positions[id.0 as usize] = Some(from);
-        }
-        // The undo restores the occupancy bit-for-bit, but derived caches
-        // may have observed the trial state through `f`; a fresh epoch
-        // keeps them conservatively correct.
-        self.epoch = fresh_epoch();
-        Ok(result)
-    }
-
     /// Occupied lateral neighbours of `pos`, as `(Direction index order)`.
     pub fn occupied_neighbors(&self, pos: Pos) -> Vec<(crate::Direction, BlockId)> {
         crate::Direction::ALL
@@ -756,39 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn with_moves_applied_round_trips_bit_identically() {
-        let mut g = OccupancyGrid::new(Bounds::new(4, 3));
-        g.place(BlockId(1), Pos::new(0, 1)).unwrap();
-        g.place(BlockId(2), Pos::new(1, 1)).unwrap();
-        g.place(BlockId(3), Pos::new(1, 0)).unwrap();
-        let before = g.clone();
-        // A hand-over chain: vacated cell refilled in the same batch.
-        let moves = [
-            (Pos::new(1, 1), Pos::new(2, 1)),
-            (Pos::new(0, 1), Pos::new(1, 1)),
-        ];
-        let seen = g
-            .with_moves_applied(&moves, |trial| {
-                assert_eq!(trial.block_at(Pos::new(2, 1)), Some(BlockId(2)));
-                assert_eq!(trial.block_at(Pos::new(1, 1)), Some(BlockId(1)));
-                assert!(trial.is_free(Pos::new(0, 1)));
-                trial.block_count()
-            })
-            .unwrap();
-        assert_eq!(seen, 3);
-        assert_eq!(g, before, "undo must restore the exact configuration");
-        assert_eq!(g.occupancy_words(), before.occupancy_words());
-        assert_eq!(g.position_of(BlockId(1)), Some(Pos::new(0, 1)));
-        assert_eq!(g.position_of(BlockId(2)), Some(Pos::new(1, 1)));
-        // An invalid batch leaves the grid untouched and reports the error.
-        let err = g
-            .with_moves_applied(&[(Pos::new(2, 2), Pos::new(2, 1))], |_| ())
-            .unwrap_err();
-        assert_eq!(err, GridError::CellEmpty(Pos::new(2, 2)));
-        assert_eq!(g, before);
-    }
-
-    #[test]
     fn epoch_changes_on_every_mutation_and_only_then() {
         let mut g = grid3x3_with_l_shape();
         let e0 = g.epoch();
@@ -803,11 +732,6 @@ mod tests {
         // Failed mutations leave the epoch untouched.
         assert!(g.move_block(Pos::new(2, 2), Pos::new(2, 1)).is_err());
         assert_eq!(g.epoch(), e1);
-        // A journalled trial restores the bits but renews the version
-        // (conservative: observers may have seen the trial state).
-        g.with_moves_applied(&[(Pos::new(2, 1), Pos::new(1, 1))], |_| ())
-            .unwrap();
-        assert_ne!(g.epoch(), e1);
         // Epochs are globally unique: a fresh grid never aliases an
         // existing one.
         let other = OccupancyGrid::new(Bounds::new(3, 3));

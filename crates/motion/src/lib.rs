@@ -24,9 +24,12 @@
 //!   derive new rules from a base rule ("block motions can be derived via
 //!   symmetry or rotation", Fig. 4).
 //! * [`RuleCatalog`] — the standard rule set (east sliding + east carrying
-//!   and their full symmetry orbits, plus corner-assist variants) and the
-//!   motion-planning queries used by the distributed algorithm
-//!   (`which valid motions involve this block?`).
+//!   and their full symmetry orbits, plus corner-assist variants),
+//!   precompiled to bitmask form ([`CompiledRule`]).
+//! * [`MotionPlanner`] — the two queries the distributed algorithm asks,
+//!   both filtered by Remark 1 through a caller-owned
+//!   [`sb_grid::ConnectivityOracle`]: *can this block hop towards `O`?*
+//!   (Eq. 9) and *which motions move it one hop?* (Section V.C).
 //!
 //! ## Example: the "east sliding" rule of Eqs. (1)–(3)
 //!

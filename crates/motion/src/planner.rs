@@ -1,11 +1,12 @@
 //! Motion planning queries over a rule catalogue.
 //!
-//! The distributed algorithm needs two questions answered for a block `B`:
+//! The distributed algorithm asks two questions about a block `B`, both
+//! filtered by Remark 1 (no motion may disconnect the ensemble):
 //!
-//! 1. *Can `B` move at all?* — used by Eq. (9): `d_BO = +∞` if no move is
-//!    possible for `B`.
-//! 2. *Which motions move `B` one hop towards the output `O`?* — used when
-//!    the elected block executes its hop (Section V.C).
+//! 1. *Can `B` hop towards the output `O`?* — Eq. (9): `d_BO = +∞` when
+//!    no such motion exists ([`MotionPlanner::any_motion_towards`]).
+//! 2. *Which motions move `B` one hop towards `O`?* — the elected block's
+//!    hop of Section V.C ([`MotionPlanner::motions_towards`]).
 //!
 //! In the physical system each block evaluates its own rules against its
 //! locally sensed neighbourhood.  The planner performs exactly that local
@@ -14,18 +15,9 @@
 //! block's position.
 
 use crate::catalog::RuleCatalog;
-use crate::compiled::RuleId;
-use crate::rule::RuleError;
-use sb_grid::connectivity;
-use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos};
-use std::cell::RefCell;
+use crate::compiled::{CompiledRule, RuleId, MAX_MOVES_PER_RULE};
+use sb_grid::{ConnectivityOracle, OccupancyGrid, Pos};
 use std::fmt;
-
-/// A Remark 1 admission probe over a candidate move batch (abstracts
-/// whether the verdict comes from the planner's own oracle, a
-/// caller-owned one, or nothing at all when connectivity is not
-/// required).
-type PreservesProbe<'a> = dyn FnMut(&[(Pos, Pos)]) -> bool + 'a;
 
 /// A concrete, applicable instantiation of a rule: the rule anchored at a
 /// world position, with the world moves it would perform and the identity
@@ -54,17 +46,6 @@ impl PlannedMotion {
         self.moves.len()
     }
 
-    /// Whether executing this motion keeps the ensemble connected
-    /// (Remark 1).
-    pub fn preserves_connectivity(&self, grid: &OccupancyGrid) -> bool {
-        connectivity::moves_preserve_connectivity(grid, &self.moves)
-    }
-
-    /// Executes the motion on the grid.
-    pub fn apply(&self, grid: &mut OccupancyGrid) -> Result<Vec<BlockId>, RuleError> {
-        Ok(grid.apply_simultaneous_moves(&self.moves)?)
-    }
-
     /// Manhattan progress of the subject block towards `target`
     /// (positive = closer).
     pub fn progress_towards(&self, target: Pos) -> i64 {
@@ -88,56 +69,24 @@ impl fmt::Display for PlannedMotion {
 
 /// Planner over a rule catalogue.
 ///
-/// Applicability checks run against the catalogue's precompiled rule
-/// masks and the grid's occupancy bitboard; the Remark 1 admission filter
-/// goes through a [`ConnectivityOracle`] (block-cut-tree state computed
-/// per world state and patched incrementally across leaf relocations,
-/// answering single-block probes **and** the catalogue's carrying
-/// batches in O(1) — every carrying chain reduces to a net single move,
-/// with the scratch BFS as the exactness backstop for every other shape
-/// and the few single moves the tree cannot decide); and the boolean
-/// feasibility queries
-/// ([`MotionPlanner::can_move_towards`] and friends) additionally
-/// short-circuit at the first admissible motion and reuse internal
-/// scratch buffers, performing **zero heap allocations after warm-up**.
-///
-/// Callers that own a world-level oracle (e.g. `sb-core`'s
-/// `SurfaceWorld`) pass it through the `*_with` variants so the
-/// cut-vertex mask is shared with every other consumer of the same world
-/// state; the plain variants fall back to a planner-internal oracle.
-#[derive(Debug)]
+/// The planner holds nothing but its catalogue.  Applicability checks run
+/// against the catalogue's precompiled rule masks and the grid's
+/// occupancy bitboard; the Remark 1 filter probes the caller's
+/// [`ConnectivityOracle`], so one oracle (e.g. `sb-core`'s
+/// `SurfaceWorld`'s) serves every query against the same world state.
+/// World moves are materialised in a stack buffer: the Eq. (9) probe
+/// [`MotionPlanner::any_motion_towards`] short-circuits at the first
+/// admissible motion and performs **zero heap allocations after the
+/// oracle's warm-up**.
+#[derive(Clone, Debug)]
 pub struct MotionPlanner {
     catalog: RuleCatalog,
-    /// Whether planned motions must preserve the connectivity of the whole
-    /// ensemble (Remark 1).  On by default.
-    require_connectivity: bool,
-    /// World moves of the candidate currently being examined (reused
-    /// across enumeration queries).
-    moves_scratch: RefCell<Vec<(Pos, Pos)>>,
-    /// Planner-owned connectivity oracle for callers without their own.
-    oracle: RefCell<ConnectivityOracle>,
-}
-
-impl Clone for MotionPlanner {
-    fn clone(&self) -> Self {
-        MotionPlanner {
-            catalog: self.catalog.clone(),
-            require_connectivity: self.require_connectivity,
-            moves_scratch: RefCell::new(Vec::new()),
-            oracle: RefCell::new(ConnectivityOracle::new()),
-        }
-    }
 }
 
 impl MotionPlanner {
-    /// Creates a planner with connectivity preservation enabled.
+    /// Creates a planner over `catalog`.
     pub fn new(catalog: RuleCatalog) -> Self {
-        MotionPlanner {
-            catalog,
-            require_connectivity: true,
-            moves_scratch: RefCell::new(Vec::new()),
-            oracle: RefCell::new(ConnectivityOracle::new()),
-        }
+        MotionPlanner { catalog }
     }
 
     /// Creates a planner with the standard catalogue.
@@ -145,33 +94,20 @@ impl MotionPlanner {
         MotionPlanner::new(RuleCatalog::standard())
     }
 
-    /// Disables the global connectivity filter (used by the free-motion
-    /// baseline of the 2013 paper, where blocks do not need support).
-    pub fn without_connectivity_check(mut self) -> Self {
-        self.require_connectivity = false;
-        self
-    }
-
     /// The underlying catalogue.
     pub fn catalog(&self) -> &RuleCatalog {
         &self.catalog
     }
 
-    /// All applicable motions in which the block at `pos` is one of the
-    /// moving blocks.  Duplicate motions (identical move sets produced by
-    /// different rules) are reported once.
+    /// All connectivity-preserving motions in which the block at `pos` is
+    /// one of the moving blocks.  Duplicate motions (identical move sets
+    /// produced by different rules) are reported once.
     ///
-    /// Matching runs on the precompiled rule masks; connectivity (Remark 1)
-    /// is answered by the planner's [`ConnectivityOracle`], so candidate
-    /// motions that fail either filter cost no heap allocation.
-    pub fn motions_involving(&self, grid: &OccupancyGrid, pos: Pos) -> Vec<PlannedMotion> {
-        let oracle = &mut *self.oracle.borrow_mut();
-        self.motions_involving_with(grid, pos, oracle)
-    }
-
-    /// [`MotionPlanner::motions_involving`] probing Remark 1 through a
-    /// caller-owned oracle (shared cut-vertex mask).
-    pub fn motions_involving_with(
+    /// Per candidate: compiled mask match, then deduplication, then the
+    /// `oracle` probe — a duplicate has the identical move set, so its
+    /// Remark 1 verdict is identical too and probing it again would only
+    /// burn a probe.
+    pub fn motions_involving(
         &self,
         grid: &OccupancyGrid,
         pos: Pos,
@@ -181,39 +117,26 @@ impl MotionPlanner {
         if !grid.is_occupied(pos) {
             return out;
         }
-        let mut moves_buf = self.moves_scratch.borrow_mut();
+        let mut buf = [(pos, pos); MAX_MOVES_PER_RULE];
         for compiled in self.catalog.compiled() {
             for (idx, mv) in compiled.moves.iter().enumerate() {
                 let anchor = pos.offset(-mv.from.0, -mv.from.1);
                 if !compiled.applies_at(grid, anchor) {
                     continue;
                 }
-                moves_buf.clear();
-                moves_buf.extend(
-                    compiled
-                        .moves
-                        .iter()
-                        .map(|m| compiled.world_move(m, anchor)),
-                );
-                let (subject_from, subject_to) = moves_buf[idx];
+                let moves = world_moves(compiled, anchor, &mut buf);
+                let (subject_from, subject_to) = moves[idx];
                 debug_assert_eq!(subject_from, pos);
-                // Deduplicate *before* the connectivity probe: a
-                // duplicate has the identical move set, so its Remark 1
-                // verdict is identical too — testing it again would only
-                // burn a probe.
                 let duplicate = out
                     .iter()
-                    .any(|p| p.subject_to == subject_to && same_move_set(&p.moves, &moves_buf));
-                if duplicate {
-                    continue;
-                }
-                if self.require_connectivity && !oracle.preserves_connectivity(grid, &moves_buf) {
+                    .any(|p| p.subject_to == subject_to && same_move_set(&p.moves, moves));
+                if duplicate || !oracle.preserves_connectivity(grid, moves) {
                     continue;
                 }
                 out.push(PlannedMotion {
                     rule_id: compiled.id,
                     anchor,
-                    moves: moves_buf.clone(),
+                    moves: moves.to_vec(),
                     subject_from,
                     subject_to,
                 });
@@ -246,13 +169,9 @@ impl MotionPlanner {
                 let moves = rule.world_moves(anchor);
                 let (subject_from, subject_to) = moves[idx];
                 debug_assert_eq!(subject_from, pos);
-                if self.require_connectivity {
-                    let mut trial = grid.clone();
-                    let connected =
-                        trial.apply_simultaneous_moves(&moves).is_ok() && trial.is_connected();
-                    if !connected {
-                        continue;
-                    }
+                let mut trial = grid.clone();
+                if trial.apply_simultaneous_moves(&moves).is_err() || !trial.is_connected() {
+                    continue;
                 }
                 let planned = PlannedMotion {
                     rule_id: id as RuleId,
@@ -280,22 +199,10 @@ impl MotionPlanner {
         grid: &OccupancyGrid,
         pos: Pos,
         target: Pos,
-    ) -> Vec<PlannedMotion> {
-        let oracle = &mut *self.oracle.borrow_mut();
-        self.motions_towards_with(grid, pos, target, oracle)
-    }
-
-    /// [`MotionPlanner::motions_towards`] probing Remark 1 through a
-    /// caller-owned oracle (shared cut-vertex mask).
-    pub fn motions_towards_with(
-        &self,
-        grid: &OccupancyGrid,
-        pos: Pos,
-        target: Pos,
         oracle: &mut ConnectivityOracle,
     ) -> Vec<PlannedMotion> {
         let mut motions: Vec<PlannedMotion> = self
-            .motions_involving_with(grid, pos, oracle)
+            .motions_involving(grid, pos, oracle)
             .into_iter()
             .filter(|m| m.progress_towards(target) > 0)
             .collect();
@@ -307,114 +214,62 @@ impl MotionPlanner {
         motions
     }
 
-    /// Whether the block at `pos` can execute any motion at all,
-    /// short-circuiting at the first admissible one.
-    pub fn can_move(&self, grid: &OccupancyGrid, pos: Pos) -> bool {
-        self.any_motion_matching(grid, pos, |_| true, |_| true, &mut |moves| {
-            self.oracle.borrow_mut().preserves_connectivity(grid, moves)
-        })
-    }
-
-    /// Whether the block at `pos` can execute a motion that brings it
-    /// strictly closer to `target` (the Eq. (9) feasibility test as used
-    /// by the election).  Stops at the first admissible motion and
-    /// allocates nothing after warm-up.
-    pub fn can_move_towards(&self, grid: &OccupancyGrid, pos: Pos, target: Pos) -> bool {
-        self.any_motion_towards(grid, pos, target, |_| true)
-    }
-
-    /// [`MotionPlanner::can_move_towards`] with an extra caller-supplied
-    /// admission filter over the motion's world moves (the election uses
-    /// it to exclude motions that would displace a locked path block).
+    /// Whether the block at `pos` can execute a connectivity-preserving
+    /// motion that brings it strictly closer to `target` and whose world
+    /// moves pass `admit` (the election uses it to exclude motions that
+    /// would displace a locked path block) — the Eq. (9) feasibility
+    /// test.
+    ///
+    /// Per candidate, in this order: the subject's destination must be
+    /// closer (a geometric test run before any window lift), the compiled
+    /// mask must match, the `oracle` must admit the batch, then `admit`
+    /// must.  Stops at the first admissible motion; deduplication is
+    /// skipped, as it cannot change emptiness.
     pub fn any_motion_towards(
         &self,
         grid: &OccupancyGrid,
         pos: Pos,
         target: Pos,
-        admit: impl FnMut(&[(Pos, Pos)]) -> bool,
-    ) -> bool {
-        let from_d = pos.manhattan(target);
-        self.any_motion_matching(
-            grid,
-            pos,
-            |subject_to| subject_to.manhattan(target) < from_d,
-            admit,
-            &mut |moves| {
-                // Borrowed per probe, never across `pre`/`admit`, so
-                // re-entrant planner calls from those closures stay legal.
-                self.oracle.borrow_mut().preserves_connectivity(grid, moves)
-            },
-        )
-    }
-
-    /// [`MotionPlanner::any_motion_towards`] probing Remark 1 through a
-    /// caller-owned oracle (shared cut-vertex mask).
-    pub fn any_motion_towards_with(
-        &self,
-        grid: &OccupancyGrid,
-        pos: Pos,
-        target: Pos,
-        admit: impl FnMut(&[(Pos, Pos)]) -> bool,
-        oracle: &mut ConnectivityOracle,
-    ) -> bool {
-        let from_d = pos.manhattan(target);
-        self.any_motion_matching(
-            grid,
-            pos,
-            |subject_to| subject_to.manhattan(target) < from_d,
-            admit,
-            &mut |moves| oracle.preserves_connectivity(grid, moves),
-        )
-    }
-
-    /// Short-circuiting core of the feasibility probes: true when any
-    /// rule instantiation moving the block at `pos` passes `pre` (a cheap
-    /// geometric test on the subject's destination, run before any window
-    /// lift), the compiled mask match, the `preserves` connectivity probe
-    /// (skipped when the planner does not require connectivity), and
-    /// `admit` over the full move batch.  Deduplication is skipped — it
-    /// cannot change emptiness.
-    fn any_motion_matching(
-        &self,
-        grid: &OccupancyGrid,
-        pos: Pos,
-        mut pre: impl FnMut(Pos) -> bool,
         mut admit: impl FnMut(&[(Pos, Pos)]) -> bool,
-        preserves: &mut PreservesProbe<'_>,
+        oracle: &mut ConnectivityOracle,
     ) -> bool {
         if !grid.is_occupied(pos) {
             return false;
         }
-        // World moves go into a stack buffer; no planner RefCell is held
-        // while `pre` or `admit` runs (the internal-oracle `preserves`
-        // closure scopes its borrow to the probe), so a closure that
-        // calls back into this planner cannot hit a re-entrant borrow.
-        let mut buf = [(pos, pos); crate::compiled::MAX_MOVES_PER_RULE];
+        let from_d = pos.manhattan(target);
+        let mut buf = [(pos, pos); MAX_MOVES_PER_RULE];
         for compiled in self.catalog.compiled() {
             for (idx, mv) in compiled.moves.iter().enumerate() {
                 let subject_to = pos.offset(mv.to.0 - mv.from.0, mv.to.1 - mv.from.1);
-                if !pre(subject_to) {
+                if subject_to.manhattan(target) >= from_d {
                     continue;
                 }
                 let anchor = pos.offset(-mv.from.0, -mv.from.1);
                 if !compiled.applies_at(grid, anchor) {
                     continue;
                 }
-                for (slot, m) in buf.iter_mut().zip(compiled.moves.iter()) {
-                    *slot = compiled.world_move(m, anchor);
-                }
-                let moves = &buf[..compiled.moves.len()];
+                let moves = world_moves(compiled, anchor, &mut buf);
                 debug_assert_eq!(moves[idx].0, pos);
-                if self.require_connectivity && !preserves(moves) {
-                    continue;
-                }
-                if admit(moves) {
+                if oracle.preserves_connectivity(grid, moves) && admit(moves) {
                     return true;
                 }
             }
         }
         false
     }
+}
+
+/// The world moves of `compiled` anchored at `anchor`, written into the
+/// front of `buf`.
+fn world_moves<'a>(
+    compiled: &CompiledRule,
+    anchor: Pos,
+    buf: &'a mut [(Pos, Pos); MAX_MOVES_PER_RULE],
+) -> &'a [(Pos, Pos)] {
+    for (slot, m) in buf.iter_mut().zip(compiled.moves.iter()) {
+        *slot = compiled.world_move(m, anchor);
+    }
+    &buf[..compiled.moves.len()]
 }
 
 /// Move-set equality irrespective of declaration order, without
@@ -427,6 +282,7 @@ fn same_move_set(a: &[(Pos, Pos)], b: &[(Pos, Pos)]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sb_grid::connectivity::{is_connected_after, ConnectivityScratch};
     use sb_grid::SurfaceConfig;
 
     /// A 2x3 rectangle of blocks on a 6x6 surface:
@@ -451,6 +307,11 @@ mod tests {
         .unwrap()
     }
 
+    /// Remark 1 by scratch BFS, independent of the oracle.
+    fn connected_after(grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
+        is_connected_after(grid, moves, &mut ConnectivityScratch::new())
+    }
+
     #[test]
     fn corner_block_can_slide_along_the_top() {
         let cfg = rectangle();
@@ -460,10 +321,11 @@ mod tests {
         // slide needs support at south of source and destination).  It can
         // however slide north? No support.  Check the reported motions are
         // all valid and keep connectivity.
-        let motions = planner.motions_involving(cfg.grid(), sb_grid::Pos::new(3, 1));
+        let motions =
+            planner.motions_involving(cfg.grid(), Pos::new(3, 1), &mut ConnectivityOracle::new());
         for m in &motions {
-            assert!(m.preserves_connectivity(cfg.grid()));
-            assert_eq!(m.subject_from, sb_grid::Pos::new(3, 1));
+            assert!(connected_after(cfg.grid(), &m.moves));
+            assert_eq!(m.subject_from, Pos::new(3, 1));
         }
     }
 
@@ -478,11 +340,12 @@ mod tests {
         // either.  The carry rule: block (3,1) moves east carried by
         // (2,1)?  Support south of (3,1) is (3,0): occupied.  So a carry
         // motion is available.
-        let motions = planner.motions_involving(cfg.grid(), sb_grid::Pos::new(3, 1));
+        let motions =
+            planner.motions_involving(cfg.grid(), Pos::new(3, 1), &mut ConnectivityOracle::new());
         assert!(
             motions
                 .iter()
-                .any(|m| m.subject_to == sb_grid::Pos::new(4, 1) && m.blocks_moved() == 2),
+                .any(|m| m.subject_to == Pos::new(4, 1) && m.blocks_moved() == 2),
             "expected an east carry for the corner block, got: {motions:?}"
         );
     }
@@ -496,7 +359,8 @@ mod tests {
         // carrying motion where that cell is vacated simultaneously
         // (hand-over, code 5); a single-block slide into an occupied cell
         // must never be reported.
-        let motions = planner.motions_involving(cfg.grid(), sb_grid::Pos::new(2, 0));
+        let motions =
+            planner.motions_involving(cfg.grid(), Pos::new(2, 0), &mut ConnectivityOracle::new());
         for m in &motions {
             assert!(m.subject_to.y >= 0, "moves must stay on the surface");
             if cfg.grid().is_occupied(m.subject_to) {
@@ -516,15 +380,16 @@ mod tests {
     fn motions_towards_filters_by_progress() {
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         let output = cfg.output(); // (0, 5)
-        let pos = sb_grid::Pos::new(3, 1);
-        for m in planner.motions_towards(cfg.grid(), pos, output) {
+        let pos = Pos::new(3, 1);
+        for m in planner.motions_towards(cfg.grid(), pos, output, &mut oracle) {
             assert!(m.progress_towards(output) > 0);
         }
         // Towards the far north-east corner instead: progress must be
         // towards that corner.
-        let corner = sb_grid::Pos::new(5, 5);
-        for m in planner.motions_towards(cfg.grid(), pos, corner) {
+        let corner = Pos::new(5, 5);
+        for m in planner.motions_towards(cfg.grid(), pos, corner, &mut oracle) {
             assert!(m.subject_to.manhattan(corner) < pos.manhattan(corner));
         }
     }
@@ -543,51 +408,62 @@ mod tests {
         let planner = MotionPlanner::standard();
         // Block at (2,0) is the articulation between the square and the
         // tail at (3,0).
-        let motions = planner.motions_involving(cfg.grid(), sb_grid::Pos::new(2, 0));
+        let pos = Pos::new(2, 0);
+        let motions = planner.motions_involving(cfg.grid(), pos, &mut ConnectivityOracle::new());
         for m in &motions {
-            assert!(m.preserves_connectivity(cfg.grid()));
+            assert!(connected_after(cfg.grid(), &m.moves));
         }
-        // Without the connectivity check more motions may appear.
-        let free_planner = MotionPlanner::standard().without_connectivity_check();
-        let free_motions = free_planner.motions_involving(cfg.grid(), sb_grid::Pos::new(2, 0));
-        assert!(free_motions.len() >= motions.len());
+        // Some rule matches here but strands the tail: the filter must
+        // have dropped it.
+        let mut buf = [(pos, pos); MAX_MOVES_PER_RULE];
+        let mut stranding = 0;
+        for compiled in planner.catalog().compiled() {
+            for mv in &compiled.moves {
+                let anchor = pos.offset(-mv.from.0, -mv.from.1);
+                if !compiled.applies_at(cfg.grid(), anchor) {
+                    continue;
+                }
+                let moves = world_moves(compiled, anchor, &mut buf);
+                if !connected_after(cfg.grid(), moves) {
+                    stranding += 1;
+                    assert!(!motions.iter().any(|m| same_move_set(&m.moves, moves)));
+                }
+            }
+        }
+        assert!(stranding > 0, "the geometry must offer a stranding motion");
     }
 
     #[test]
     fn empty_cell_has_no_motion() {
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
+        let empty = Pos::new(5, 5);
         assert!(planner
-            .motions_involving(cfg.grid(), sb_grid::Pos::new(5, 5))
+            .motions_involving(cfg.grid(), empty, &mut oracle)
             .is_empty());
-        assert!(!planner.can_move(cfg.grid(), sb_grid::Pos::new(5, 5)));
+        assert!(!planner.any_motion_towards(
+            cfg.grid(),
+            empty,
+            cfg.output(),
+            |_| true,
+            &mut oracle
+        ));
     }
 
     #[test]
     fn can_move_towards_is_consistent_with_motions_towards() {
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
-        let output = cfg.output();
-        for (_, pos) in cfg.grid().blocks() {
-            assert_eq!(
-                planner.can_move_towards(cfg.grid(), pos, output),
-                !planner.motions_towards(cfg.grid(), pos, output).is_empty()
-            );
-        }
-    }
-
-    #[test]
-    fn bitboard_matcher_agrees_with_the_naive_reference() {
-        for planner in [
-            MotionPlanner::standard(),
-            MotionPlanner::standard().without_connectivity_check(),
-        ] {
-            let cfg = rectangle();
+        let mut oracle = ConnectivityOracle::new();
+        for target in [cfg.output(), Pos::new(5, 5), Pos::new(5, 0)] {
             for pos in cfg.grid().bounds().iter() {
                 assert_eq!(
-                    planner.motions_involving(cfg.grid(), pos),
-                    planner.motions_involving_reference(cfg.grid(), pos),
-                    "at {pos}"
+                    planner.any_motion_towards(cfg.grid(), pos, target, |_| true, &mut oracle),
+                    !planner
+                        .motions_towards(cfg.grid(), pos, target, &mut oracle)
+                        .is_empty(),
+                    "at {pos} towards {target}"
                 );
             }
         }
@@ -595,12 +471,35 @@ mod tests {
 
     #[test]
     fn can_move_matches_motion_enumeration() {
+        // A block can move iff some target draws it one hop closer: every
+        // motion makes progress towards its own subject destination.
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
+        let bounds = cfg.grid().bounds();
+        for pos in bounds.iter() {
+            let can_move = bounds
+                .iter()
+                .any(|t| planner.any_motion_towards(cfg.grid(), pos, t, |_| true, &mut oracle));
+            assert_eq!(
+                can_move,
+                !planner
+                    .motions_involving(cfg.grid(), pos, &mut oracle)
+                    .is_empty(),
+                "at {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn bitboard_matcher_agrees_with_the_naive_reference() {
+        let cfg = rectangle();
+        let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         for pos in cfg.grid().bounds().iter() {
             assert_eq!(
-                planner.can_move(cfg.grid(), pos),
-                !planner.motions_involving(cfg.grid(), pos).is_empty(),
+                planner.motions_involving(cfg.grid(), pos, &mut oracle),
+                planner.motions_involving_reference(cfg.grid(), pos),
                 "at {pos}"
             );
         }
@@ -610,33 +509,46 @@ mod tests {
     fn admission_filter_excludes_motions() {
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         let output = cfg.output();
-        let pos = sb_grid::Pos::new(3, 1);
-        assert!(planner.any_motion_towards(cfg.grid(), pos, output, |_| true));
-        assert!(!planner.any_motion_towards(cfg.grid(), pos, output, |_| false));
+        let pos = Pos::new(3, 1);
+        assert!(planner.any_motion_towards(cfg.grid(), pos, output, |_| true, &mut oracle));
+        assert!(!planner.any_motion_towards(cfg.grid(), pos, output, |_| false, &mut oracle));
         // Filtering out every motion touching the subject's own cell
         // excludes everything (the subject always moves).
-        assert!(
-            !planner.any_motion_towards(cfg.grid(), pos, output, |moves| {
-                !moves.iter().any(|&(from, _)| from == pos)
-            })
-        );
+        assert!(!planner.any_motion_towards(
+            cfg.grid(),
+            pos,
+            output,
+            |moves| !moves.iter().any(|&(from, _)| from == pos),
+            &mut oracle
+        ));
     }
 
     #[test]
     fn admission_filter_may_reenter_the_planner() {
-        // The admit closure runs with no scratch borrow held, so it can
-        // legally consult the same planner (e.g. about a displaced
-        // helper block) without a RefCell panic.
+        // The planner holds no state, so the admit closure can consult
+        // it (with an oracle of its own) about a displaced helper block
+        // while the outer query runs.
         let cfg = rectangle();
         let planner = MotionPlanner::standard();
+        let mut inner = ConnectivityOracle::new();
         let output = cfg.output();
-        let pos = sb_grid::Pos::new(3, 1);
-        let ok = planner.any_motion_towards(cfg.grid(), pos, output, |moves| {
-            moves
-                .iter()
-                .all(|&(from, _)| from == pos || planner.can_move(cfg.grid(), from))
-        });
+        let pos = Pos::new(3, 1);
+        let ok = planner.any_motion_towards(
+            cfg.grid(),
+            pos,
+            output,
+            |moves| {
+                moves.iter().all(|&(from, _)| {
+                    from == pos
+                        || !planner
+                            .motions_involving(cfg.grid(), from, &mut inner)
+                            .is_empty()
+                })
+            },
+            &mut ConnectivityOracle::new(),
+        );
         assert!(ok);
     }
 
@@ -655,13 +567,12 @@ mod tests {
         )
         .unwrap();
         let planner = MotionPlanner::standard();
-        let climber = sb_grid::Pos::new(2, 1);
+        let climber = Pos::new(2, 1);
         let output = cfg.output();
-        let motions = planner.motions_towards(cfg.grid(), climber, output);
+        let motions =
+            planner.motions_towards(cfg.grid(), climber, output, &mut ConnectivityOracle::new());
         assert!(
-            motions
-                .iter()
-                .any(|m| m.subject_to == sb_grid::Pos::new(2, 2)),
+            motions.iter().any(|m| m.subject_to == Pos::new(2, 2)),
             "climber should slide north along the column, got {motions:?}"
         );
     }
@@ -680,12 +591,13 @@ mod tests {
              . I . .",
         )
         .unwrap();
-        let climber = sb_grid::Pos::new(2, 2);
+        let climber = Pos::new(2, 2);
         let output = cfg.output();
+        let mut oracle = ConnectivityOracle::new();
         let standard = MotionPlanner::standard();
         let sliding_only = MotionPlanner::new(RuleCatalog::sliding_only());
-        let with_carry = standard.motions_towards(cfg.grid(), climber, output);
-        let without_carry = sliding_only.motions_towards(cfg.grid(), climber, output);
+        let with_carry = standard.motions_towards(cfg.grid(), climber, output, &mut oracle);
+        let without_carry = sliding_only.motions_towards(cfg.grid(), climber, output, &mut oracle);
         assert!(
             !with_carry.is_empty(),
             "carrying should enable progress at the corner"

@@ -1,5 +1,5 @@
 //! Proves the planning fast path performs **zero heap allocations** per
-//! `can_move_towards` query after warm-up, with a counting global
+//! `any_motion_towards` query after warm-up, with a counting global
 //! allocator.  Only allocations made by the measuring thread are counted
 //! (the libtest harness allocates concurrently from its own threads), via
 //! a const-initialised thread-local flag — no `Drop` glue, so reading it
@@ -49,20 +49,23 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
-fn can_move_towards_allocates_nothing_after_warmup() {
+fn any_motion_towards_allocates_nothing_after_warmup() {
     // A realistic N=32 instance: the shape the complexity benches sweep.
     let cfg = random_connected_config(&InstanceSpec::column_instance(32), 7);
     let planner = MotionPlanner::standard();
+    let mut oracle = ConnectivityOracle::new();
     let grid = cfg.grid();
-    let output = cfg.output();
+    let targets = [cfg.output(), cfg.input()];
     let positions: Vec<_> = grid.blocks().map(|(_, p)| p).collect();
 
-    // Warm-up: size the planner's scratch buffers (connectivity bitset,
-    // frontier, post-move board, move buffer) for this grid.
+    // Warm-up: size the caller-owned oracle's buffers (Tarjan arrays,
+    // BFS bitset, frontier, post-move board) for this grid.
     let mut warm_hits = 0usize;
     for &pos in &positions {
-        warm_hits += usize::from(planner.can_move_towards(grid, pos, output));
-        warm_hits += usize::from(planner.can_move(grid, pos));
+        for target in targets {
+            warm_hits +=
+                usize::from(planner.any_motion_towards(grid, pos, target, |_| true, &mut oracle));
+        }
     }
     assert!(warm_hits > 0, "the workload must exercise the fast path");
 
@@ -73,8 +76,15 @@ fn can_move_towards_allocates_nothing_after_warmup() {
     let mut hits = 0usize;
     for _ in 0..16 {
         for &pos in &positions {
-            hits += usize::from(planner.can_move_towards(grid, pos, output));
-            hits += usize::from(planner.can_move(grid, pos));
+            for target in targets {
+                hits += usize::from(planner.any_motion_towards(
+                    grid,
+                    pos,
+                    target,
+                    |_| true,
+                    &mut oracle,
+                ));
+            }
         }
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
@@ -83,7 +93,7 @@ fn can_move_towards_allocates_nothing_after_warmup() {
     assert_eq!(
         after - before,
         0,
-        "can_move_towards / can_move allocated on the hot path"
+        "any_motion_towards allocated on the hot path"
     );
 }
 
@@ -180,7 +190,7 @@ fn election_deliver_step_dispatch_allocates_nothing_after_warmup() {
     };
 
     // Warm-up 1: the full reconfiguration, hops included — sizes the
-    // planner scratch, the sinks, the neighbour buffers and the queue,
+    // world's oracle, the sinks, the neighbour buffers and the queue,
     // and leaves the world in its completed (hop-free) end state.
     let first = run_round(&mut world, &mut harnesses, &mut queue, &mut stopped);
     assert!(stopped, "the Root must stop the run");

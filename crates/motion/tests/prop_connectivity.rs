@@ -2,17 +2,20 @@
 //! oracle: [`ConnectivityOracle::preserves_connectivity`] must be
 //! bit-for-bit identical to the scratch-BFS [`is_connected_after`] on
 //! every geometrically valid batch — random single-block moves (adjacent
-//! hops and longer repositionings), the carrying batches the rule
-//! catalogue actually produces, genuine two-cell vacates on cut-vertex
-//! chains and ribbon turns (which the oracle hands to the BFS), and the
-//! `sparse_wide` geometry where the articulation reasoning is most at
-//! risk.
+//! hops and longer repositionings), every batch the rule catalogue can
+//! instantiate before the Remark 1 filter, genuine two-cell vacates on
+//! cut-vertex chains and ribbon turns (which the oracle hands to the
+//! BFS), and the `sparse_wide` geometry where the articulation reasoning
+//! is most at risk.
 
+mod common;
+
+use common::unfiltered_batches;
 use proptest::prelude::*;
 use sb_grid::connectivity::{is_connected_after, ConnectivityScratch};
 use sb_grid::gen::{random_connected_config, random_flat_config, InstanceSpec};
 use sb_grid::{BlockId, Bounds, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
-use sb_motion::MotionPlanner;
+use sb_motion::{MotionPlanner, RuleCatalog};
 
 /// The `sparse_wide` workload geometry (flat strip, thickness ≤ 3): thins
 /// into chains whose interior blocks are all articulation points.
@@ -48,6 +51,42 @@ fn single_move_destinations(cfg: &SurfaceConfig, from: Pos) -> Vec<Pos> {
     out
 }
 
+/// Every rule instance of `catalog` on `grid` before the Remark 1 filter.
+fn catalogue_batches(catalog: &RuleCatalog, grid: &OccupancyGrid) -> Vec<Vec<(Pos, Pos)>> {
+    grid.blocks()
+        .flat_map(|(_, pos)| unfiltered_batches(catalog, grid, pos))
+        .collect()
+}
+
+/// A fixed geometry where the catalogue offers a batch that strands a
+/// block: the block at (2,0) is the only link between the square and the
+/// tail at (3,0).  The oracle must reject every batch the BFS rejects, so
+/// the randomised agreement below cannot pass on an empty rejected set.
+#[test]
+fn oracle_rejects_a_stranding_catalogue_batch() {
+    let cfg = SurfaceConfig::from_ascii(
+        "O . . . .\n\
+         . . . . .\n\
+         # # . . .\n\
+         I # # # .",
+    )
+    .unwrap();
+    let grid = cfg.grid();
+    let mut oracle = ConnectivityOracle::new();
+    let mut scratch = ConnectivityScratch::new();
+    let mut rejected = 0;
+    for moves in catalogue_batches(&RuleCatalog::standard(), grid) {
+        let bfs = is_connected_after(grid, &moves, &mut scratch);
+        assert_eq!(
+            oracle.preserves_connectivity(grid, &moves),
+            bfs,
+            "batch {moves:?}"
+        );
+        rejected += usize::from(!bfs);
+    }
+    assert!(rejected > 0, "the geometry must offer a stranding batch");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -78,18 +117,14 @@ proptest! {
             }
         }
 
-        // Multi-block batches: every carrying motion the catalogue can
-        // instantiate anywhere on this grid (connectivity filter off so
-        // disconnecting candidates are exercised too).
-        let planner = MotionPlanner::standard().without_connectivity_check();
-        for (_, pos) in grid.blocks() {
-            for motion in planner.motions_involving(grid, pos) {
-                prop_assert_eq!(
-                    oracle.preserves_connectivity(grid, &motion.moves),
-                    is_connected_after(grid, &motion.moves, &mut scratch),
-                    "batch {:?} (sparse={})", motion.moves, sparse
-                );
-            }
+        // Multi-block batches: every rule instance the catalogue can
+        // match anywhere on this grid, disconnecting candidates included.
+        for moves in catalogue_batches(&RuleCatalog::standard(), grid) {
+            prop_assert_eq!(
+                oracle.preserves_connectivity(grid, &moves),
+                is_connected_after(grid, &moves, &mut scratch),
+                "batch {:?} (sparse={})", moves, sparse
+            );
         }
 
         // The same oracle kept probing one state must have amortised to
@@ -203,9 +238,10 @@ proptest! {
     fn oracle_backed_planner_matches_reference(blocks in 5usize..12, seed in 0u64..10_000) {
         let cfg = random_connected_config(&InstanceSpec::column_instance(blocks), seed);
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         for pos in cfg.grid().bounds().iter() {
             prop_assert_eq!(
-                planner.motions_involving(cfg.grid(), pos),
+                planner.motions_involving(cfg.grid(), pos, &mut oracle),
                 planner.motions_involving_reference(cfg.grid(), pos),
                 "at {}", pos
             );

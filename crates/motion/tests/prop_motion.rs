@@ -1,8 +1,11 @@
 //! Property-based tests for the motion-rule engine.
 
+mod common;
+
+use common::unfiltered_batches;
 use proptest::prelude::*;
 use sb_grid::gen::{random_connected_config, InstanceSpec};
-use sb_grid::OccupancyGrid;
+use sb_grid::{ConnectivityOracle, OccupancyGrid};
 use sb_motion::{EventCode, MotionPlanner, PresenceMatrix, RuleCatalog, Transform};
 
 fn arb_presence3() -> impl Strategy<Value = PresenceMatrix> {
@@ -58,19 +61,19 @@ proptest! {
     }
 
     /// Every planned motion reported by the planner is executable on the
-    /// grid, moves the subject block where it claims, and (with the
-    /// standard planner) preserves connectivity.
+    /// grid, moves the subject block where it claims, and preserves
+    /// connectivity.
     #[test]
     fn planned_motions_are_sound(blocks in 5usize..16, seed in 0u64..300) {
         let spec = InstanceSpec::column_instance(blocks);
         let cfg = random_connected_config(&spec, seed);
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         for (_, pos) in cfg.grid().blocks() {
-            for motion in planner.motions_involving(cfg.grid(), pos) {
+            for motion in planner.motions_involving(cfg.grid(), pos, &mut oracle) {
                 prop_assert_eq!(motion.subject_from, pos);
-                prop_assert!(motion.preserves_connectivity(cfg.grid()));
                 let mut trial: OccupancyGrid = cfg.grid().clone();
-                let moved = motion.apply(&mut trial).unwrap();
+                let moved = trial.apply_simultaneous_moves(&motion.moves).unwrap();
                 prop_assert_eq!(moved.len(), motion.blocks_moved());
                 // The subject block ended up at subject_to.
                 let id = cfg.grid().block_at(pos).unwrap();
@@ -89,27 +92,31 @@ proptest! {
         let spec = InstanceSpec::l_shaped_instance(blocks.max(6));
         let cfg = random_connected_config(&spec, seed);
         let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         let target = cfg.output();
         for (_, pos) in cfg.grid().blocks() {
-            for m in planner.motions_towards(cfg.grid(), pos, target) {
+            for m in planner.motions_towards(cfg.grid(), pos, target, &mut oracle) {
                 prop_assert_eq!(m.progress_towards(target), 1);
                 prop_assert_eq!(m.subject_from.manhattan(m.subject_to), 1);
             }
         }
     }
 
-    /// The free planner (no connectivity requirement) always offers at
-    /// least as many motions as the standard planner.
+    /// Every planned motion is one of the rule instances that match
+    /// before the Remark 1 filter: the filter only removes options.
     #[test]
     fn connectivity_filter_only_removes_options(blocks in 5usize..14, seed in 0u64..200) {
         let spec = InstanceSpec::column_instance(blocks);
         let cfg = random_connected_config(&spec, seed);
-        let strict = MotionPlanner::standard();
-        let free = MotionPlanner::standard().without_connectivity_check();
+        let planner = MotionPlanner::standard();
+        let mut oracle = ConnectivityOracle::new();
         for (_, pos) in cfg.grid().blocks() {
-            let a = strict.motions_involving(cfg.grid(), pos).len();
-            let b = free.motions_involving(cfg.grid(), pos).len();
-            prop_assert!(b >= a);
+            let unfiltered = unfiltered_batches(planner.catalog(), cfg.grid(), pos);
+            let planned = planner.motions_involving(cfg.grid(), pos, &mut oracle);
+            prop_assert!(unfiltered.len() >= planned.len());
+            for m in &planned {
+                prop_assert!(unfiltered.contains(&m.moves), "{} is not a rule instance", m);
+            }
         }
     }
 }
