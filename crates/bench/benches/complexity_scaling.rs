@@ -17,7 +17,6 @@ use sb_bench::sweep::{
 };
 use sb_bench::{fit_exponent, SCALING_SIZES};
 use sb_core::election::TieBreak;
-use sb_core::MotionModel;
 use std::hint::black_box;
 
 fn column_plan(sizes: Vec<usize>) -> SweepPlan {
@@ -30,7 +29,6 @@ fn column_plan(sizes: Vec<usize>) -> SweepPlan {
         seeds: vec![1],
         networks: vec![NetworkSpec::fixed_10us()],
         tie_breaks: vec![TieBreak::Random],
-        motions: vec![MotionModel::RuleBased],
         reliability: vec![ReliabilitySpec::off()],
         faults: vec![FaultSpec::none()],
     }
@@ -47,26 +45,26 @@ fn bench_scaling(c: &mut Criterion) {
     for g in &report.groups {
         println!(
             "{:>6} {:>10.0} {:>12.0} {:>14.0} {:>10.0} {:>10}",
-            g.blocks,
-            g.elections.mean,
-            g.messages.mean,
-            g.distance_computations.mean,
-            g.moves.mean,
+            g.cell.blocks,
+            g.stat("elections").mean,
+            g.stat("messages").mean,
+            g.stat("distance_computations").mean,
+            g.stat("elementary_moves").mean,
             if g.completed_rate == 1.0 { "yes" } else { "NO" }
         );
     }
-    let pts = |select: fn(&sb_bench::sweep::GroupSummary) -> f64| -> Vec<(f64, f64)> {
+    let pts = |name: &str| -> Vec<(f64, f64)> {
         report
             .groups
             .iter()
-            .map(|g| (g.blocks as f64, select(g)))
+            .map(|g| (g.cell.blocks as f64, g.stat(name).mean))
             .collect()
     };
     println!(
         "fitted exponents: messages ~ N^{:.2} (<= 3), distance computations ~ N^{:.2} (<= 3), moves ~ N^{:.2} (<= 2)\n",
-        fit_exponent(&pts(|g| g.messages.mean)),
-        fit_exponent(&pts(|g| g.distance_computations.mean)),
-        fit_exponent(&pts(|g| g.moves.mean)),
+        fit_exponent(&pts("messages")),
+        fit_exponent(&pts("distance_computations")),
+        fit_exponent(&pts("elementary_moves")),
     );
 
     let mut group = c.benchmark_group("complexity_scaling");

@@ -23,7 +23,5 @@
 pub mod sweep;
 pub mod workloads;
 
-pub use sweep::{
-    parallel_map, Family, FamilyPlan, NetworkSpec, SweepEngine, SweepPlan, SweepReport,
-};
+pub use sweep::{Family, FamilyPlan, NetworkSpec, SweepEngine, SweepPlan, SweepReport};
 pub use workloads::*;

@@ -1,8 +1,8 @@
 //! The parallel batch sweep engine.
 //!
 //! [`SweepEngine`] fans a cartesian [`SweepPlan`] — workload family ×
-//! ensemble size × seed × network model × tie-break × motion model ×
-//! reliability — out across worker threads (via the vendored
+//! ensemble size × seed × network model × tie-break × reliability ×
+//! fault — out across worker threads (via the vendored
 //! `crossbeam::scope`), runs every cell on the deterministic
 //! discrete-event runtime, and aggregates the per-cell counters into
 //! per-group summaries (mean/p50/p95 plus completion, stall and timeout
@@ -10,16 +10,15 @@
 //! (fixed, jittered, heterogeneous/asymmetric per-link, heavy-tailed) and
 //! the explicit assumption-violation probes (i.i.d. drop and
 //! duplication); the reliability axis measures the same probes with the
-//! harness's ack/timeout/retransmit layer enabled, so both the damage
-//! (stall and timeout rates) and the cost of repairing it
-//! (retransmissions, delivery acks) are measured data rather than
-//! folklore.
+//! harness's ack/timeout/retransmit layer enabled, and the fault axis
+//! crashes (and optionally rejoins) one module under round-structured
+//! re-election.
 //!
 //! ## Determinism
 //!
 //! Every cell derives its simulator and tie-break seeds from a stable hash
 //! of the cell's *semantic* coordinates (family name, size, workload seed,
-//! network name, tie-break name, motion name) mixed with the plan seed —
+//! network name, tie-break name) mixed with the plan seed —
 //! never from the cell's position in the work queue or the thread that
 //! happens to run it.  Workers pull cell indices from a shared cursor and
 //! write results back into the cell's own slot, so the aggregate (and the
@@ -27,65 +26,55 @@
 //! identical for any worker count**.  The regression test
 //! `crates/bench/tests/sweep_engine.rs` pins this property.
 //!
-//! ## JSON schema (version 8)
+//! ## JSON schema (version 9)
 //!
-//! [`SweepReport::to_json`] renders the versioned machine-readable record
-//! published by CI as `BENCH_planner.json`; the field-by-field schema is
-//! documented in `ROADMAP.md` ("Engine notes").  v4 added the per-cell
-//! `cells` array — identity coordinates, the exact per-cell simulator
-//! seed and the outcome/counters of every run — so a regression found in
-//! a group aggregate can be bisected to one reproducible cell without
-//! re-running the plan.  v5 adds the reliability axis: a `reliability` identity
-//! field on every group and cell plus the per-cell reliable-delivery
-//! counters (`retransmissions`, `duplicates_suppressed`, `delivery_acks`,
-//! `delivery_failures`).  v6 adds the connectivity-oracle observability
-//! counters (`connectivity_rebuilds` and `connectivity_fallback_probes`
-//! per cell, fallback stats per group) so the O(1) carrying-batch probe
-//! guarantee is measured data; the counters are outputs only and do
-//! **not** enter [`SweepCell::cell_seed`], so every v5 cell seed
-//! survives unchanged.  v7 adds the per-cell
-//! `connectivity_incremental_updates` counter (the epochs absorbed
-//! without a rebuild, now that the oracle maintains its state in
-//! amortised O(1)); like v6's counters it is output-only, so v5/v6 cell
-//! seeds survive unchanged.  v8 adds the crash/rejoin fault axis
-//! ([`FaultSpec`]: a scheduled module crash with optional rejoin plus
-//! the round-structured re-election configuration that measures the
-//! recovery) — a `fault` identity field on every group and cell, and
-//! the per-cell recovery counters (`rounds_started`, `round_skips`,
-//! `crashes_injected`, `rejoins`).  The fault name enters the cell-seed
-//! hash only when the spec actually injects a fault or enables rounds,
-//! so every fault-free cell keeps its pre-v8 seed byte-for-byte.
+//! [`SweepReport::to_json`] renders the record CI publishes as
+//! `BENCH_planner.json` and `BENCH_fault_recovery.json`: a header
+//! (`schema`, `version`, `plan_seed`, `seeds_per_cell`,
+//! `percentile_method`), then two arrays.
+//!
+//! * `groups` — one record per parameter point: the identity fields
+//!   (`family`, `n`, `network`, `tie_break`, `reliability`, `fault`),
+//!   `runs`, the `completed_rate` / `stall_rate` / `timeout_rate`, then
+//!   one `{mean, p50, p95}` object per name in [`GROUP_STATS`].
+//! * `cells` — one record per run, so a group regression can be
+//!   bisected to one reproducible cell: the identity fields plus
+//!   `workload_seed`, the exact simulator `cell_seed` (hex), `outcome`,
+//!   `sim_time_us`, `events`, then every [`Metrics::counters`] entry in
+//!   table order, keyed by field name.  A counter added to the metrics
+//!   table appears here with no edit to this module.
+//!
+//! Counters are outputs only: they never enter [`SweepCell::cell_seed`].
 
 use sb_core::election::{RoundsConfig, TieBreak};
 use sb_core::workloads;
 use sb_core::{
-    FaultInjection, FaultSchedule, FaultVictim, Metrics, MotionModel, ReconfigurationDriver,
-    ReliabilityConfig,
+    FaultInjection, FaultSchedule, FaultVictim, Metrics, ReconfigurationDriver, ReliabilityConfig,
 };
 use sb_desim::network::{fnv1a64, splitmix64};
 use sb_desim::{Duration as SimDuration, LatencyModel, NetworkModel};
 use sb_grid::SurfaceConfig;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration as WallDuration;
 
-/// Version of the JSON schema emitted by [`SweepReport::to_json`].
-///
-/// v3 renamed the `latency` identity field to `network` when the global
-/// latency axis became the per-link [`NetworkModel`] axis; v4 added the
-/// per-cell `cells` records (identity + cell seed + outcome + counters);
-/// v5 added the reliability
-/// axis (a `reliability` identity field everywhere plus the per-cell
-/// retransmission/dedup/ack/failure counters); v6 added the
-/// connectivity-oracle counters (per-cell rebuild/fallback, per-group
-/// fallback stats) without touching the cell-seed hash; v7 added the
-/// per-cell `connectivity_incremental_updates` counter, also outside
-/// the cell-seed hash; v8 added the crash/rejoin fault axis (a `fault`
-/// identity field everywhere plus the per-cell `rounds_started` /
-/// `round_skips` / `crashes_injected` / `rejoins` recovery counters),
-/// hashed into the cell seed only when the spec is active.
-pub const SWEEP_SCHEMA_VERSION: u32 = 8;
+/// Version of the JSON schema emitted by [`SweepReport::to_json`]; the
+/// layout is in the module docs.
+pub const SWEEP_SCHEMA_VERSION: u32 = 9;
+
+/// The per-cell values every group aggregates, each looked up by
+/// [`CellMeasurement::value`] and rendered as `{mean, p50, p95}`.
+pub const GROUP_STATS: [&str; 9] = [
+    "elections",
+    "messages",
+    "elementary_moves",
+    "distance_computations",
+    "sim_time_us",
+    "events_per_sim_sec",
+    "retransmissions",
+    "connectivity_fallback_probes",
+    "round_skips",
+];
 
 /// The scenario families the sweep can draw workloads from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -431,13 +420,6 @@ fn tie_break_name(t: TieBreak) -> &'static str {
     }
 }
 
-fn motion_name(m: MotionModel) -> &'static str {
-    match m {
-        MotionModel::RuleBased => "rule_based",
-        MotionModel::FreeMotion => "free_motion",
-    }
-}
-
 /// One family together with the ensemble sizes it is swept over.
 #[derive(Clone, Debug)]
 pub struct FamilyPlan {
@@ -464,8 +446,6 @@ pub struct SweepPlan {
     pub networks: Vec<NetworkSpec>,
     /// Tie-break policies.
     pub tie_breaks: Vec<TieBreak>,
-    /// Motion models.
-    pub motions: Vec<MotionModel>,
     /// Reliable-delivery configurations.
     pub reliability: Vec<ReliabilitySpec>,
     /// Crash/rejoin fault scenarios (use `vec![FaultSpec::none()]` for a
@@ -514,7 +494,6 @@ impl SweepPlan {
                 NetworkSpec::heavy_tail_1us_10ms(),
             ],
             tie_breaks: vec![TieBreak::Random],
-            motions: vec![MotionModel::RuleBased],
             reliability: vec![ReliabilitySpec::off()],
             faults: vec![FaultSpec::none()],
         }
@@ -548,7 +527,6 @@ impl SweepPlan {
                 NetworkSpec::heavy_tail_drop(),
             ],
             tie_breaks: vec![TieBreak::Random],
-            motions: vec![MotionModel::RuleBased],
             reliability: vec![ReliabilitySpec::off(), ReliabilitySpec::on()],
             faults: vec![FaultSpec::none()],
         }
@@ -576,7 +554,6 @@ impl SweepPlan {
             seeds: vec![1, 2, 3],
             networks: vec![NetworkSpec::fixed_10us(), NetworkSpec::drop_10pct()],
             tie_breaks: vec![TieBreak::Random],
-            motions: vec![MotionModel::RuleBased],
             reliability: vec![ReliabilitySpec::on_fast()],
             faults: vec![
                 FaultSpec::root_crash_rejoin(),
@@ -603,7 +580,6 @@ impl SweepPlan {
             seeds: vec![1, 2],
             networks: vec![NetworkSpec::fixed_10us()],
             tie_breaks: vec![TieBreak::LowestId],
-            motions: vec![MotionModel::RuleBased],
             reliability: vec![ReliabilitySpec::off()],
             faults: vec![FaultSpec::none()],
         }
@@ -618,21 +594,18 @@ impl SweepPlan {
             for &blocks in &fp.sizes {
                 for &network in &self.networks {
                     for &tie_break in &self.tie_breaks {
-                        for &motion in &self.motions {
-                            for &reliability in &self.reliability {
-                                for &fault in &self.faults {
-                                    for &workload_seed in &self.seeds {
-                                        cells.push(SweepCell {
-                                            family: fp.family,
-                                            blocks,
-                                            workload_seed,
-                                            network,
-                                            tie_break,
-                                            motion,
-                                            reliability,
-                                            fault,
-                                        });
-                                    }
+                        for &reliability in &self.reliability {
+                            for &fault in &self.faults {
+                                for &workload_seed in &self.seeds {
+                                    cells.push(SweepCell {
+                                        family: fp.family,
+                                        blocks,
+                                        workload_seed,
+                                        network,
+                                        tie_break,
+                                        reliability,
+                                        fault,
+                                    });
                                 }
                             }
                         }
@@ -657,8 +630,6 @@ pub struct SweepCell {
     pub network: NetworkSpec,
     /// Tie-break policy.
     pub tie_break: TieBreak,
-    /// Motion model.
-    pub motion: MotionModel,
     /// Reliable-delivery configuration.
     pub reliability: ReliabilitySpec,
     /// Crash/rejoin fault scenario (and round configuration).
@@ -680,7 +651,9 @@ impl SweepCell {
         h = fnv1a64(&self.workload_seed.to_le_bytes(), h);
         h = fnv1a64(self.network.name.as_bytes(), h);
         h = fnv1a64(tie_break_name(self.tie_break).as_bytes(), h);
-        h = fnv1a64(motion_name(self.motion).as_bytes(), h);
+        // Every cell runs the rule-based motion model.  Its name stays in
+        // the hash so that every published cell seed stays valid.
+        h = fnv1a64(b"rule_based", h);
         if self.reliability.config.enabled {
             h = fnv1a64(self.reliability.name.as_bytes(), h);
         }
@@ -728,6 +701,28 @@ impl CellMeasurement {
         self.events as f64 / (self.sim_time_us.max(1) as f64 / 1e6)
     }
 
+    /// One named per-cell value: a [`Metrics`] counter by field name,
+    /// `messages` (all five message kinds), `sim_time_us` or
+    /// `events_per_sim_sec`.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is none of these.
+    pub fn value(&self, name: &str) -> f64 {
+        match name {
+            "messages" => self.metrics.total_messages() as f64,
+            "sim_time_us" => self.sim_time_us as f64,
+            "events_per_sim_sec" => self.events_per_sim_sec(),
+            _ => self
+                .metrics
+                .counters()
+                .into_iter()
+                .find(|&(field, _)| field == name)
+                .map(|(_, value)| value as f64)
+                .unwrap_or_else(|| panic!("no per-cell value named {name:?}")),
+        }
+    }
+
     /// Stable outcome name for the JSON record.
     pub fn outcome_name(&self) -> &'static str {
         if self.completed {
@@ -746,7 +741,6 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
     let config = cell.family.build(cell.blocks, cell.workload_seed);
     let mut driver = ReconfigurationDriver::new(config)
         .with_network(cell.network.model)
-        .with_motion_model(cell.motion)
         .with_reliability(cell.reliability.config)
         .with_seed(seed);
     let mut algorithm = *driver.algorithm();
@@ -772,10 +766,8 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
 }
 
 /// Applies `f` to every item index across `workers` scoped threads,
-/// preserving item order in the returned vector.  The building block of
-/// [`SweepEngine::run`], exported for callers that fan other workloads
-/// out.
-pub fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+/// preserving item order in the returned vector.
+fn parallel_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -839,20 +831,9 @@ fn nearest_rank(sorted: &[f64], percentile: f64) -> f64 {
 /// Aggregate over the seed repetitions of one parameter point.
 #[derive(Clone, Debug)]
 pub struct GroupSummary {
-    /// Scenario family.
-    pub family: Family,
-    /// Ensemble size `N`.
-    pub blocks: usize,
-    /// Network model name.
-    pub network: &'static str,
-    /// Tie-break policy name.
-    pub tie_break: &'static str,
-    /// Motion model name.
-    pub motion: &'static str,
-    /// Reliable-delivery configuration name.
-    pub reliability: &'static str,
-    /// Crash/rejoin fault scenario name (`"none"` for fault-free).
-    pub fault: &'static str,
+    /// The group's first cell; every identity axis but the workload
+    /// seed is shared by the whole group.
+    pub cell: SweepCell,
     /// Number of runs aggregated (the seed axis).
     pub runs: usize,
     /// Fraction of runs that completed.
@@ -861,28 +842,23 @@ pub struct GroupSummary {
     pub stall_rate: f64,
     /// Fraction of runs with neither outcome.
     pub timeout_rate: f64,
-    /// Elections per run.
-    pub elections: Stats,
-    /// Messages per run.
-    pub messages: Stats,
-    /// Elementary moves per run.
-    pub moves: Stats,
-    /// Distance computations per run.
-    pub distance_computations: Stats,
-    /// Final simulated time per run (µs).
-    pub sim_time_us: Stats,
-    /// Events per simulated second.
-    pub events_per_sim_sec: Stats,
-    /// Reliable-delivery retransmissions per run (all-zero when the
-    /// group's reliability is off).
-    pub retransmissions: Stats,
-    /// Connectivity-oracle BFS fallbacks per run (~0 on the standard
-    /// families: every carrying batch reduces to an O(1) block-cut-tree
-    /// probe, so growth here flags a fast-path regression).
-    pub connectivity_fallback_probes: Stats,
-    /// Rounds abandoned by the skip watchdog per run (all-zero with
-    /// rounds off; the price of crash recovery otherwise).
-    pub round_skips: Stats,
+    /// One entry per [`GROUP_STATS`] name, in that order.
+    stats: [Stats; GROUP_STATS.len()],
+}
+
+impl GroupSummary {
+    /// The group's statistics of one [`GROUP_STATS`] value.
+    ///
+    /// # Panics
+    ///
+    /// If `name` is not in [`GROUP_STATS`].
+    pub fn stat(&self, name: &str) -> Stats {
+        let i = GROUP_STATS
+            .iter()
+            .position(|&n| n == name)
+            .unwrap_or_else(|| panic!("groups do not aggregate {name:?}"));
+        self.stats[i]
+    }
 }
 
 /// Outcome of one sweep: per-cell measurements plus per-group aggregates.
@@ -910,124 +886,98 @@ impl SweepReport {
         self.cells.iter().map(|c| c.events).sum()
     }
 
-    /// Renders the versioned, machine-readable JSON record.
+    /// Renders the versioned, machine-readable JSON record (layout in
+    /// the module docs).
     ///
     /// Only deterministic quantities are included (counters, simulated
     /// time, rates, per-cell seeds) — never wall-clock readings — so the
     /// rendering is byte-identical for a fixed plan regardless of worker
     /// count or host speed.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"schema\": \"smart-surface-sweep\",\n");
-        let _ = writeln!(out, "  \"version\": {},", SWEEP_SCHEMA_VERSION);
-        let _ = writeln!(out, "  \"plan_seed\": {},", self.plan_seed);
-        let _ = writeln!(out, "  \"seeds_per_cell\": {},", self.seeds_per_cell);
-        out.push_str("  \"percentile_method\": \"nearest-rank\",\n");
-        out.push_str("  \"groups\": [\n");
-        for (i, g) in self.groups.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"family\": \"{}\", \"n\": {}, \"network\": \"{}\", \
-                 \"tie_break\": \"{}\", \"motion\": \"{}\", \"reliability\": \"{}\", \
-                 \"fault\": \"{}\", \"runs\": {},\n     \
-                 \"completed_rate\": {:.3}, \"stall_rate\": {:.3}, \"timeout_rate\": {:.3},\n     \
-                 \"elections\": {}, \"messages\": {},\n     \
-                 \"moves\": {}, \"distance_computations\": {},\n     \
-                 \"sim_time_us\": {}, \"events_per_sim_sec\": {},\n     \
-                 \"retransmissions\": {}, \"connectivity_fallback_probes\": {}, \
-                 \"round_skips\": {}}}",
-                g.family.name(),
-                g.blocks,
-                g.network,
-                g.tie_break,
-                g.motion,
-                g.reliability,
-                g.fault,
-                g.runs,
-                g.completed_rate,
-                g.stall_rate,
-                g.timeout_rate,
-                stats_json(&g.elections),
-                stats_json(&g.messages),
-                stats_json(&g.moves),
-                stats_json(&g.distance_computations),
-                stats_json(&g.sim_time_us),
-                stats_json(&g.events_per_sim_sec),
-                stats_json(&g.retransmissions),
-                stats_json(&g.connectivity_fallback_probes),
-                stats_json(&g.round_skips),
-            );
-            out.push_str(if i + 1 < self.groups.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        // Schema v4: one record per cell, so a regression in a group
-        // aggregate can be bisected to a single reproducible run (the
-        // `cell_seed` is the exact simulator seed `run_cell` used).
-        out.push_str("  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"family\": \"{}\", \"n\": {}, \"workload_seed\": {}, \
-                 \"network\": \"{}\", \"tie_break\": \"{}\", \"motion\": \"{}\", \
-                 \"reliability\": \"{}\", \"fault\": \"{}\",\n     \
-                 \"cell_seed\": \"{:016x}\", \"outcome\": \"{}\",\n     \
-                 \"elections\": {}, \"messages\": {}, \"moves\": {}, \
-                 \"distance_computations\": {}, \"sim_time_us\": {}, \"events\": {},\n     \
-                 \"retransmissions\": {}, \"duplicates_suppressed\": {}, \
-                 \"delivery_acks\": {}, \"delivery_failures\": {},\n     \
-                 \"connectivity_rebuilds\": {}, \"connectivity_fallback_probes\": {}, \
-                 \"connectivity_incremental_updates\": {},\n     \
-                 \"rounds_started\": {}, \"round_skips\": {}, \
-                 \"crashes_injected\": {}, \"rejoins\": {}}}",
-                c.cell.family.name(),
-                c.cell.blocks,
-                c.cell.workload_seed,
-                c.cell.network.name,
-                tie_break_name(c.cell.tie_break),
-                motion_name(c.cell.motion),
-                c.cell.reliability.name,
-                c.cell.fault.name,
-                c.cell.cell_seed(self.plan_seed),
-                c.outcome_name(),
-                c.metrics.elections,
-                c.metrics.total_messages(),
-                c.metrics.elementary_moves,
-                c.metrics.distance_computations,
-                c.sim_time_us,
-                c.events,
-                c.metrics.retransmissions,
-                c.metrics.duplicates_suppressed,
-                c.metrics.delivery_acks,
-                c.metrics.delivery_failures,
-                c.metrics.connectivity_rebuilds,
-                c.metrics.connectivity_fallback_probes,
-                c.metrics.connectivity_incremental_updates,
-                c.metrics.rounds_started,
-                c.metrics.round_skips,
-                c.metrics.crashes_injected,
-                c.metrics.rejoins,
-            );
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let groups: Vec<String> = self
+            .groups
+            .iter()
+            .map(|g| {
+                let stats: Vec<String> = GROUP_STATS
+                    .iter()
+                    .zip(&g.stats)
+                    .map(|(name, s)| {
+                        format!(
+                            "\"{name}\": {{\"mean\": {:.1}, \"p50\": {:.1}, \"p95\": {:.1}}}",
+                            s.mean, s.p50, s.p95
+                        )
+                    })
+                    .collect();
+                let mut lines = vec![
+                    format!("{}, \"runs\": {}", identity(&g.cell, None), g.runs),
+                    format!(
+                        "\"completed_rate\": {:.3}, \"stall_rate\": {:.3}, \"timeout_rate\": {:.3}",
+                        g.completed_rate, g.stall_rate, g.timeout_rate
+                    ),
+                ];
+                lines.extend(stats.chunks(2).map(|line| line.join(", ")));
+                record(&lines)
+            })
+            .collect();
+        let cells: Vec<String> = self
+            .cells
+            .iter()
+            .map(|c| {
+                let counters: Vec<String> = c
+                    .metrics
+                    .counters()
+                    .iter()
+                    .map(|(name, value)| format!("\"{name}\": {value}"))
+                    .collect();
+                let mut lines = vec![
+                    identity(&c.cell, Some(c.cell.workload_seed)),
+                    format!(
+                        "\"cell_seed\": \"{:016x}\", \"outcome\": \"{}\", \"sim_time_us\": {}, \
+                         \"events\": {}",
+                        c.cell.cell_seed(self.plan_seed),
+                        c.outcome_name(),
+                        c.sim_time_us,
+                        c.events
+                    ),
+                ];
+                lines.extend(counters.chunks(6).map(|line| line.join(", ")));
+                record(&lines)
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"smart-surface-sweep\",\n  \"version\": {},\n  \
+             \"plan_seed\": {},\n  \"seeds_per_cell\": {},\n  \
+             \"percentile_method\": \"nearest-rank\",\n  \
+             \"groups\": [\n{}\n  ],\n  \"cells\": [\n{}\n  ]\n}}\n",
+            SWEEP_SCHEMA_VERSION,
+            self.plan_seed,
+            self.seeds_per_cell,
+            groups.join(",\n"),
+            cells.join(",\n")
+        )
     }
 }
 
-fn stats_json(s: &Stats) -> String {
+/// The identity fields groups and cells share; cells add their
+/// `workload_seed` after `n`.
+fn identity(cell: &SweepCell, workload_seed: Option<u64>) -> String {
+    let seed = workload_seed.map_or(String::new(), |s| format!(", \"workload_seed\": {s}"));
     format!(
-        "{{\"mean\": {:.1}, \"p50\": {:.1}, \"p95\": {:.1}}}",
-        s.mean, s.p50, s.p95
+        "\"family\": \"{}\", \"n\": {}{seed}, \"network\": \"{}\", \"tie_break\": \"{}\", \
+         \"reliability\": \"{}\", \"fault\": \"{}\"",
+        cell.family.name(),
+        cell.blocks,
+        cell.network.name,
+        tie_break_name(cell.tie_break),
+        cell.reliability.name,
+        cell.fault.name
     )
+}
+
+/// Renders one array element: a JSON object with one output line per
+/// line of fields.
+fn record(lines: &[String]) -> String {
+    format!("    {{{}}}", lines.join(",\n     "))
 }
 
 /// The parallel sweep engine.
@@ -1073,35 +1023,19 @@ impl SweepEngine {
 }
 
 fn summarize_group(chunk: &[CellMeasurement]) -> GroupSummary {
-    let first = &chunk[0];
     let k = chunk.len() as f64;
     let rate = |pred: fn(&CellMeasurement) -> bool| -> f64 {
         chunk.iter().filter(|c| pred(c)).count() as f64 / k
     };
-    let stats = |select: fn(&CellMeasurement) -> f64| -> Stats {
-        Stats::from_values(&mut chunk.iter().map(select).collect::<Vec<f64>>())
-    };
     GroupSummary {
-        family: first.cell.family,
-        blocks: first.cell.blocks,
-        network: first.cell.network.name,
-        tie_break: tie_break_name(first.cell.tie_break),
-        motion: motion_name(first.cell.motion),
-        reliability: first.cell.reliability.name,
-        fault: first.cell.fault.name,
+        cell: chunk[0].cell,
         runs: chunk.len(),
         completed_rate: rate(|c| c.completed),
         stall_rate: rate(|c| c.stalled),
         timeout_rate: rate(|c| c.timed_out),
-        elections: stats(|c| c.metrics.elections as f64),
-        messages: stats(|c| c.metrics.total_messages() as f64),
-        moves: stats(|c| c.metrics.elementary_moves as f64),
-        distance_computations: stats(|c| c.metrics.distance_computations as f64),
-        sim_time_us: stats(|c| c.sim_time_us as f64),
-        events_per_sim_sec: stats(CellMeasurement::events_per_sim_sec),
-        retransmissions: stats(|c| c.metrics.retransmissions as f64),
-        connectivity_fallback_probes: stats(|c| c.metrics.connectivity_fallback_probes as f64),
-        round_skips: stats(|c| c.metrics.round_skips as f64),
+        stats: GROUP_STATS.map(|name| {
+            Stats::from_values(&mut chunk.iter().map(|c| c.value(name)).collect::<Vec<f64>>())
+        }),
     }
 }
 
@@ -1130,14 +1064,23 @@ mod tests {
 
     #[test]
     fn plan_enumerates_the_full_cartesian_product() {
-        let plan = SweepPlan::smoke();
-        let expected: usize = plan.families.iter().map(|fp| fp.sizes.len()).sum::<usize>()
-            * plan.seeds.len()
-            * plan.networks.len()
-            * plan.tie_breaks.len()
-            * plan.motions.len()
-            * plan.reliability.len();
-        assert_eq!(plan.cells().len(), expected);
+        let product = |plan: &SweepPlan| -> usize {
+            plan.families.iter().map(|fp| fp.sizes.len()).sum::<usize>()
+                * plan.seeds.len()
+                * plan.networks.len()
+                * plan.tie_breaks.len()
+                * plan.reliability.len()
+                * plan.faults.len()
+        };
+        for plan in [
+            SweepPlan::smoke(),
+            SweepPlan::fault_probes(),
+            SweepPlan::fault_probes_crash(),
+        ] {
+            assert_eq!(plan.cells().len(), product(&plan));
+        }
+        // Three crash scenarios: the fault axis multiplies the cell count.
+        assert_eq!(SweepPlan::fault_probes_crash().cells().len(), 180);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use sb_bench::sweep::{
     Family, FamilyPlan, FaultSpec, NetworkSpec, ReliabilitySpec, SweepEngine, SweepPlan,
 };
 use sb_core::election::TieBreak;
-use sb_core::MotionModel;
+use sb_core::Metrics;
 
 /// A plan whose cells are genuinely seed-sensitive: random workload
 /// geometry, jittered latencies and random tie-breaking all read the
@@ -29,7 +29,6 @@ fn jittered_plan() -> SweepPlan {
         seeds: vec![1, 2, 3],
         networks: vec![NetworkSpec::uniform_1_100us()],
         tie_breaks: vec![TieBreak::Random],
-        motions: vec![MotionModel::RuleBased],
         reliability: vec![ReliabilitySpec::off()],
         faults: vec![FaultSpec::none()],
     }
@@ -56,7 +55,6 @@ fn fault_plan() -> SweepPlan {
             NetworkSpec::dup_1pct(),
         ],
         tie_breaks: vec![TieBreak::Random],
-        motions: vec![MotionModel::RuleBased],
         reliability: vec![ReliabilitySpec::off()],
         faults: vec![FaultSpec::none()],
     }
@@ -104,7 +102,6 @@ fn plan_seed_reaches_the_cells() {
         seeds: vec![1],
         networks: vec![NetworkSpec::uniform_1_100us()],
         tie_breaks: vec![TieBreak::Random],
-        motions: vec![MotionModel::RuleBased],
         reliability: vec![ReliabilitySpec::off()],
         faults: vec![FaultSpec::none()],
     };
@@ -132,8 +129,8 @@ fn aggregates_are_consistent_and_scenario_outcomes_differ() {
         assert_eq!(g.runs, 2);
         let total = g.completed_rate + g.stall_rate + g.timeout_rate;
         assert!((total - 1.0).abs() < 1e-9, "rates partition the runs");
-        assert!(g.messages.p50 <= g.messages.p95);
-        assert!(g.moves.mean > 0.0);
+        assert!(g.stat("messages").p50 <= g.stat("messages").p95);
+        assert!(g.stat("elementary_moves").mean > 0.0);
         assert_eq!(
             g.timeout_rate, 0.0,
             "DES runs under a fault-free network always reach an outcome"
@@ -142,13 +139,13 @@ fn aggregates_are_consistent_and_scenario_outcomes_differ() {
     let column: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Column)
+        .filter(|g| g.cell.family == Family::Column)
         .collect();
     assert!(column.iter().all(|g| g.completed_rate == 1.0));
     let minimal: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Minimal)
+        .filter(|g| g.cell.family == Family::Minimal)
         .collect();
     assert!(
         minimal.iter().all(|g| g.stall_rate == 1.0),
@@ -168,7 +165,11 @@ fn fault_injecting_networks_degrade_outcomes_without_breaking_the_engine() {
         assert!((total - 1.0).abs() < 1e-9, "rates partition the runs");
     }
     let rate = |name: &str, pick: fn(&sb_bench::sweep::GroupSummary) -> f64| -> f64 {
-        let groups: Vec<_> = report.groups.iter().filter(|g| g.network == name).collect();
+        let groups: Vec<_> = report
+            .groups
+            .iter()
+            .filter(|g| g.cell.network.name == name)
+            .collect();
         assert!(!groups.is_empty(), "network {name} swept");
         groups.iter().map(|g| pick(g)).sum::<f64>() / groups.len() as f64
     };
@@ -193,14 +194,15 @@ fn fault_injecting_networks_degrade_outcomes_without_breaking_the_engine() {
     );
 }
 
-/// The JSON record parses as the advertised schema version and carries
-/// the per-group percentile fields plus the v3 network axis.
+/// The JSON record carries the advertised schema version, the per-group
+/// percentile fields and the identity axes.
 #[test]
 fn json_record_carries_schema_and_percentiles() {
     let report = SweepEngine::new(2).run(&SweepPlan::smoke());
     let json = report.to_json();
     assert!(json.contains("\"schema\": \"smart-surface-sweep\""));
-    assert!(json.contains("\"version\": 8"));
+    assert!(json.contains("\"version\": 9"));
+    assert!(!json.contains("\"motion\""), "v9 dropped the motion axis");
     assert!(json.contains("\"reliability\": \"off\""));
     assert!(json.contains("\"fault\": \"none\""));
     assert!(json.contains("\"rounds_started\""));
@@ -247,4 +249,24 @@ fn json_record_carries_per_cell_records() {
     assert!(json.contains(&expected_seed), "bisectable seed recorded");
     // No wall-clock section: it would break worker-count byte-identity.
     assert!(!json.contains("\"desim_throughput\""));
+}
+
+/// Schema v9: every cell record carries every `Metrics::counters()`
+/// entry, keyed by field name, so a counter added to the metrics table
+/// reaches the BENCH records with no edit to the sweep.
+#[test]
+fn every_metrics_counter_appears_in_every_cell_record() {
+    let report = SweepEngine::new(2).run(&SweepPlan::smoke());
+    let json = report.to_json();
+    let (_, cells) = json.split_once("\"cells\": [").expect("cells array");
+    let records: Vec<&str> = cells.split("\n    {").skip(1).collect();
+    assert_eq!(records.len(), report.cells.len(), "one record per cell");
+    for record in records {
+        for (name, _) in Metrics::default().counters() {
+            assert!(
+                record.contains(&format!("\"{name}\": ")),
+                "cell record lacks {name}: {record}"
+            );
+        }
+    }
 }

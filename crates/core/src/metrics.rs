@@ -11,8 +11,9 @@ use crate::messages::MsgKind;
 use std::fmt;
 
 /// Declares [`Metrics`] from one table of `field => "display label"`
-/// entries: the struct field, [`Metrics::merge`] and
-/// [`Metrics::counters`] all come from the one line per counter.
+/// entries: the struct field, [`Metrics::merge`], [`Metrics::counters`]
+/// (keyed by field name, as the sweep's BENCH records are) and the
+/// `Display` labels all come from the one line per counter.
 macro_rules! metrics_table {
     ($($(#[$doc:meta])* $field:ident => $label:literal,)*) => {
         /// Counters accumulated by the shared world during a run.
@@ -21,13 +22,16 @@ macro_rules! metrics_table {
             $($(#[$doc])* pub $field: u64,)*
         }
 
+        /// `Display` label of every counter, in table order.
+        const LABELS: &[&str] = &[$($label),*];
+
         /// Number of counters in [`Metrics`].
-        const COUNTERS: usize = [$($label),*].len();
+        const COUNTERS: usize = LABELS.len();
 
         impl Metrics {
-            /// Every counter as `(display label, value)`, in table order.
+            /// Every counter as `(field name, value)`, in table order.
             pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
-                [$(($label, self.$field)),*]
+                [$((stringify!($field), self.$field)),*]
             }
 
             /// Merges another metrics record into this one (used when
@@ -170,8 +174,13 @@ impl fmt::Display for Metrics {
             self.elementary_moves,
             self.elected_hops,
         )?;
-        for (label, value) in &self.counters()[HEADER_COUNTERS..] {
-            if *value > 0 {
+        let tail = self
+            .counters()
+            .into_iter()
+            .zip(LABELS)
+            .skip(HEADER_COUNTERS);
+        for ((_, value), label) in tail {
+            if value > 0 {
                 write!(f, " {label}={value}")?;
             }
         }
@@ -206,8 +215,8 @@ mod tests {
         }
         let before = a.counters();
         a.merge(&a.clone());
-        for ((label, merged), (_, value)) in a.counters().into_iter().zip(before) {
-            assert_eq!(merged, 2 * value, "{label} doubled");
+        for ((name, merged), (_, value)) in a.counters().into_iter().zip(before) {
+            assert_eq!(merged, 2 * value, "{name} doubled");
         }
     }
 

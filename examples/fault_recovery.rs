@@ -53,16 +53,16 @@ fn print_groups(report: &sb_bench::sweep::SweepReport) {
     for g in &report.groups {
         println!(
             "{:>11} {:>4} {:>13} {:>7} {:>18} {:>8.0}% {:>5.0}% {:>7.0}% {:>13.0} {:>13.0}",
-            g.family.name(),
-            g.blocks,
-            g.network,
-            g.reliability,
-            g.fault,
+            g.cell.family.name(),
+            g.cell.blocks,
+            g.cell.network.name,
+            g.cell.reliability.name,
+            g.cell.fault.name,
             g.completed_rate * 100.0,
             g.stall_rate * 100.0,
             g.timeout_rate * 100.0,
-            g.messages.p50,
-            g.retransmissions.p50,
+            g.stat("messages").p50,
+            g.stat("retransmissions").p50,
         );
     }
 }
@@ -104,11 +104,11 @@ fn main() {
             .groups
             .iter()
             .find(|g| {
-                g.family == family
-                    && g.blocks == blocks
-                    && g.network == "jitter_bursts"
-                    && g.reliability == "on"
-                    && g.fault == "none"
+                g.cell.family == family
+                    && g.cell.blocks == blocks
+                    && g.cell.network.name == "jitter_bursts"
+                    && g.cell.reliability.name == "on"
+                    && g.cell.fault.name == "none"
             })
             .expect("the fault-probe plan sweeps a benign reference group")
     };
@@ -116,27 +116,31 @@ fn main() {
     let mut failures = 0usize;
     let mut completing_references = 0usize;
     for g in &report.groups {
-        if g.reliability == "off" || (g.network == "jitter_bursts" && g.fault == "none") {
+        let c = &g.cell;
+        if c.reliability.name == "off"
+            || (c.network.name == "jitter_bursts" && c.fault.name == "none")
+        {
             continue;
         }
-        let expected = reference(g.family, g.blocks).completed_rate;
+        let expected = reference(c.family, c.blocks).completed_rate;
         completing_references += usize::from(expected == 1.0);
+        let label = format!(
+            "{} N={} {} fault={} ({})",
+            c.family.name(),
+            c.blocks,
+            c.network.name,
+            c.fault.name,
+            c.reliability.name
+        );
         // A permanent crash may legitimately lower the completion rate
         // (losing a path block can make the instance unsolvable); every
         // other group — loss probes and rejoining crashes alike — must
         // restore the benign rate exactly.
-        if g.fault != "relay_crash" && g.completed_rate != expected {
+        if c.fault.name != "relay_crash" && g.completed_rate != expected {
             failures += 1;
             eprintln!(
-                "GATE FAILURE: {} N={} {} fault={} ({}): completed_rate {:.3}, \
-                 benign reference {:.3}",
-                g.family.name(),
-                g.blocks,
-                g.network,
-                g.fault,
-                g.reliability,
-                g.completed_rate,
-                expected
+                "GATE FAILURE: {label}: completed_rate {:.3}, benign reference {:.3}",
+                g.completed_rate, expected
             );
         }
         // Reliability-on runs must always reach a reported outcome — a
@@ -146,12 +150,7 @@ fn main() {
         if g.timeout_rate != 0.0 {
             failures += 1;
             eprintln!(
-                "GATE FAILURE: {} N={} {} fault={} ({}): timeout_rate {:.3} != 0",
-                g.family.name(),
-                g.blocks,
-                g.network,
-                g.fault,
-                g.reliability,
+                "GATE FAILURE: {label}: timeout_rate {:.3} != 0",
                 g.timeout_rate
             );
         }

@@ -14,19 +14,12 @@
 //! seeds per cell — across every available core, prints the per-group
 //! aggregates, fits a power-law exponent for the column family so the
 //! growth rates can be compared against the remarks, and writes the
-//! versioned machine-readable `BENCH_planner.json` (schema v8, see
+//! versioned machine-readable `BENCH_planner.json` (schema v9, see
 //! `sb_bench::sweep`) — per-group aggregates and bisectable per-cell
 //! records, all deterministic, so the file is byte-identical across runs
-//! and hosts and any behaviour change shows up as a diff.
-//!
-//! It then smoke-runs the **fault-probe plan** — jitter bursts, i.i.d.
-//! drop at 1% and 10%, 1% i.i.d. duplication and the combined
-//! heavy-tail+drop regime, each with the reliable delivery layer off and
-//! on — so the assumption-violation transport path and the
-//! ack/timeout/retransmit recovery path both execute on every CI run and
-//! their stall/timeout rates are printed as measured data.  The hard
-//! recovery *gate* (reliability on must restore the fault-free outcome)
-//! lives in `examples/fault_recovery.rs`.
+//! and hosts and any behaviour change shows up as a diff.  The
+//! assumption-violation and crash probes run in
+//! `examples/fault_recovery.rs`.
 //!
 //! ```text
 //! cargo run --release --example scaling_sweep
@@ -52,16 +45,16 @@ fn print_groups(report: &SweepReport) {
     for g in &report.groups {
         println!(
             "{:>11} {:>4} {:>20} {:>8.0}% {:>5.0}% {:>7.0}% {:>12.0} {:>14.0} {:>10.0} {:>10.0}",
-            g.family.name(),
-            g.blocks,
-            g.network,
+            g.cell.family.name(),
+            g.cell.blocks,
+            g.cell.network.name,
             g.completed_rate * 100.0,
             g.stall_rate * 100.0,
             g.timeout_rate * 100.0,
-            g.messages.p50,
-            g.distance_computations.p50,
-            g.moves.p50,
-            g.moves.p95,
+            g.stat("messages").p50,
+            g.stat("distance_computations").p50,
+            g.stat("elementary_moves").p50,
+            g.stat("elementary_moves").p95,
         );
     }
 }
@@ -109,40 +102,25 @@ fn main() {
     let column: Vec<_> = report
         .groups
         .iter()
-        .filter(|g| g.family == Family::Column && g.network == "fixed_10us")
+        .filter(|g| g.cell.family == Family::Column && g.cell.network.name == "fixed_10us")
         .collect();
-    let pts = |select: fn(&sb_bench::sweep::GroupSummary) -> f64| -> Vec<(f64, f64)> {
+    let pts = |name: &str| -> Vec<(f64, f64)> {
         column
             .iter()
-            .map(|g| (g.blocks as f64, select(g)))
+            .map(|g| (g.cell.blocks as f64, g.stat(name).mean))
             .collect()
     };
     println!("\nEmpirical growth exponents, column family (slope of log-log fit):");
     println!(
         "  messages              ~ N^{:.2}   (Remark 3 upper bound: N^3)",
-        fit_exponent(&pts(|g| g.messages.mean))
+        fit_exponent(&pts("messages"))
     );
     println!(
         "  distance computations ~ N^{:.2}   (Remark 2 upper bound: N^3)",
-        fit_exponent(&pts(|g| g.distance_computations.mean))
+        fit_exponent(&pts("distance_computations"))
     );
     println!(
         "  elementary moves      ~ N^{:.2}   (Remark 4 upper bound: N^2)",
-        fit_exponent(&pts(|g| g.moves.mean))
+        fit_exponent(&pts("elementary_moves"))
     );
-
-    // Assumption-violation probes: jitter bursts respect Assumption 3
-    // (finite time) and must still complete; i.i.d. drop deadlocks raw
-    // elections (timeouts), i.i.d. duplication perturbs raw ack counting
-    // (clean stalls) — and the reliability-on half of the plan repairs
-    // both.  These rates are the measurement; the hard recovery gate is
-    // `examples/fault_recovery.rs`.
-    let fault_plan = SweepPlan::fault_probes();
-    println!(
-        "\nfault probes: {} cells (jitter bursts, 1%/10% drop, 1% duplication, \
-         heavy-tail combined; reliability off/on)…",
-        fault_plan.cells().len()
-    );
-    let fault_report = engine.run(&fault_plan);
-    print_groups(&fault_report);
 }
