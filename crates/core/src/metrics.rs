@@ -69,9 +69,17 @@ metrics_table! {
     /// Number of hops performed by elected blocks (one per successful
     /// iteration).
     elected_hops => "elected-hops",
-    /// Number of motion-rule applicability checks performed by the
-    /// planner on behalf of blocks.
+    /// Number of motion-rule questions asked on behalf of blocks: every
+    /// Eq. (9) feasibility question and every hop enumeration, however it
+    /// was answered.  Questions the Eq. (9) memo served reach neither the
+    /// planner nor the oracle, so planner calls = `rule_checks −
+    /// eq9_memo_hits`.
     rule_checks => "rule-checks",
+    /// Number of Eq. (9) questions served from the asking block's memo
+    /// entry: same position, same occupancy window, and a verdict that
+    /// rested on local oracle facts only
+    /// (`SurfaceWorld::distance_to_output`).
+    eq9_memo_hits => "eq9-memo-hits",
     /// Number of protocol messages that could not be handled by their
     /// recipient (e.g. a `Select` reaching an engaged block with no
     /// recorded best-candidate link, or a replayed `Ack` the idempotency

@@ -101,17 +101,82 @@ pub struct SurfaceWorld {
     /// epochs internally.
     oracle: ConnectivityOracle,
     /// Whether the occupancy holds a complete occupied shortest path,
-    /// evaluated wherever the occupancy changes (construction and
-    /// [`SurfaceWorld::hop_towards_output`]), so the Root's ask after
-    /// every election allocates nothing.
+    /// evaluated at construction and after every hop that changes the
+    /// occupancy of `G` (the only cells a path can use), so the Root's
+    /// ask after every election allocates nothing.
     path_complete: bool,
+    /// Each block's last Eq. (9) verdict if it was local (slot
+    /// `id.as_u32()`), keyed by the position and occupancy window it was
+    /// asked under; see [`SurfaceWorld::distance_to_output`].  Sized at
+    /// construction (empty under free motion), so the election never
+    /// allocates here.
+    eq9_memo: Vec<Option<Eq9Memo>>,
+    /// Side of the square occupancy window that keys `eq9_memo`:
+    /// `2 · eq9_radius + 1`.
+    eq9_window: usize,
+}
+
+/// One block's memoised Eq. (9) verdict and the neighbourhood it was
+/// decided on.
+#[derive(Clone, Copy, Debug)]
+struct Eq9Memo {
+    pos: Pos,
+    window: u64,
+    verdict: bool,
+}
+
+/// Chebyshev radius around a block that its Eq. (9) verdict can depend
+/// on: `max |move.from| + size / 2 + 1` over the catalogue's rules.
+///
+/// A candidate rule is anchored within `|move.from|` of the block, so its
+/// window, and every cell it moves, lies within `|move.from| + size / 2`.
+/// A local oracle verdict ([`ConnectivityOracle::nonlocal_probes`])
+/// reads the net vacated cell's 8-ring and the landing cell's
+/// 4-neighbours, one step further out.  The locking policy and the
+/// surface bounds are static.  So an unchanged `(2r + 1)²` window around
+/// an unmoved block leaves a local verdict unchanged.  The shipped 3×3
+/// catalogues give 3 when they carry (a carrying move starts one cell off
+/// the centre) and 2 for `RuleCatalog::sliding_only`.
+fn eq9_radius(catalog: &RuleCatalog) -> usize {
+    catalog
+        .compiled()
+        .iter()
+        .flat_map(|rule| {
+            rule.moves.iter().map(move |m| {
+                let from = m.from.0.unsigned_abs().max(m.from.1.unsigned_abs()) as usize;
+                from + rule.size / 2 + 1
+            })
+        })
+        .max()
+        .unwrap_or(0)
 }
 
 impl SurfaceWorld {
     /// Creates a world around a problem instance with the given rule
     /// catalogue and motion model.
+    ///
+    /// # Panics
+    ///
+    /// If the catalogue's Eq. (9) radius — the largest
+    /// `|move.from| + size / 2 + 1` over its rules — needs a memo window
+    /// wider than the 7×7 that [`OccupancyGrid::window_mask`] can lift.
     pub fn new(config: SurfaceConfig, catalog: RuleCatalog, motion_model: MotionModel) -> Self {
         let path_complete = config.graph().occupied_shortest_path_exists(config.grid());
+        let eq9_window = 2 * eq9_radius(&catalog) + 1;
+        assert!(
+            eq9_window <= 8,
+            "the catalogue's Eq. 9 radius needs a {eq9_window}x{eq9_window} window; \
+             window masks hold at most 7x7 odd windows"
+        );
+        let memo_slots = match motion_model {
+            MotionModel::RuleBased => config
+                .grid()
+                .blocks()
+                .map(|(id, _)| id.as_u32() as usize + 1)
+                .max()
+                .unwrap_or(0),
+            MotionModel::FreeMotion => 0,
+        };
         SurfaceWorld {
             config,
             planner: MotionPlanner::new(catalog),
@@ -125,6 +190,8 @@ impl SurfaceWorld {
             record_frames: false,
             oracle: ConnectivityOracle::new(),
             path_complete,
+            eq9_memo: vec![None; memo_slots],
+            eq9_window,
         }
     }
 
@@ -276,6 +343,20 @@ impl SurfaceWorld {
     ///   (Eq. 9);
     /// * the Manhattan distance `|O_i − B_i| + |O_j − B_j|` otherwise
     ///   (Eq. 10).
+    ///
+    /// Every call counts one distance computation (Remark 2) and every
+    /// Eq. (9) question one rule check, however it is answered.  Under
+    /// the rule-based model the Eq. (9) verdict is served from the
+    /// block's memo entry when the block sits at the same position under
+    /// the same `(2r + 1)²` occupancy window as when the entry was stored
+    /// (`r` is the catalogue's largest `|move.from| + size / 2 + 1`, 3
+    /// for the standard rules); such a hit counts in `eq9_memo_hits` and
+    /// asks neither the planner nor the oracle.  A miss asks the planner
+    /// and stores the verdict only when every oracle probe behind it was
+    /// local ([`ConnectivityOracle::nonlocal_probes`] unchanged), so a
+    /// memoised verdict is a function of the block's position and window
+    /// (the ensemble's connectivity, the one global fact a local probe
+    /// assumes, survives every admitted hop).
     pub fn distance_to_output(&mut self, block: BlockId) -> Distance {
         self.metrics.distance_computations += 1;
         let pos = match self.position_of(block) {
@@ -290,10 +371,36 @@ impl SurfaceWorld {
         if pos == self.input() {
             return Distance::INFINITE;
         }
-        if !self.can_hop_towards_output(pos) {
+        if !self.eq9_verdict(block, pos) {
             return Distance::INFINITE;
         }
         Distance::finite(pos.manhattan(output))
+    }
+
+    /// The Eq. (9) verdict for `block` at `pos`, through the block's memo
+    /// entry (see [`SurfaceWorld::distance_to_output`]).
+    fn eq9_verdict(&mut self, block: BlockId, pos: Pos) -> bool {
+        let slot = block.as_u32() as usize;
+        if slot >= self.eq9_memo.len() {
+            return self.can_hop_towards_output(pos);
+        }
+        // The window is lifted only when it can matter: to compare with an
+        // entry at the same position, or to store a local verdict.
+        if let Some(memo) = self.eq9_memo[slot].filter(|memo| memo.pos == pos) {
+            if memo.window == self.config.grid().window_mask(pos, self.eq9_window) {
+                self.metrics.rule_checks += 1;
+                self.metrics.eq9_memo_hits += 1;
+                return memo.verdict;
+            }
+        }
+        let nonlocal = self.oracle.nonlocal_probes();
+        let verdict = self.can_hop_towards_output(pos);
+        self.eq9_memo[slot] = (self.oracle.nonlocal_probes() == nonlocal).then(|| Eq9Memo {
+            pos,
+            window: self.config.grid().window_mask(pos, self.eq9_window),
+            verdict,
+        });
+        verdict
     }
 
     /// Whether the cell is *locked*: it belongs to the straight part of the
@@ -474,11 +581,15 @@ impl SurfaceWorld {
             }
         }
         // The mutations above advanced the grid's epoch, which the oracle
-        // keys on.
-        self.path_complete = self
-            .config
-            .graph()
-            .occupied_shortest_path_exists(self.config.grid());
+        // keys on.  A complete path runs inside `G`, so only a motion that
+        // vacates or fills a cell of `G` can change whether one exists.
+        let graph = self.config.graph();
+        if moves
+            .iter()
+            .any(|&(from, to)| graph.contains(from) || graph.contains(to))
+        {
+            self.path_complete = graph.occupied_shortest_path_exists(self.config.grid());
+        }
         self.metrics.elementary_moves += moves.len() as u64;
         self.metrics.elected_hops += 1;
         self.move_log.push(MoveRecord {
@@ -773,6 +884,63 @@ mod tests {
         assert!(result.reached_output);
         // A stale answer would still be `false` here.
         assert!(w.path_complete());
+    }
+
+    #[test]
+    fn eq9_memo_serves_a_repeated_question_and_counts_it() {
+        let mut w = small_world();
+        let free = w.grid().block_at(Pos::new(2, 1)).unwrap();
+        let first = w.distance_to_output(free);
+        assert_eq!(w.metrics().eq9_memo_hits, 0);
+        assert_eq!(w.distance_to_output(free), first);
+        // The repeat is served from the memo but still counts as one
+        // distance computation and one rule check.
+        assert_eq!(w.metrics().eq9_memo_hits, 1);
+        assert_eq!(w.metrics().distance_computations, 2);
+        assert_eq!(w.metrics().rule_checks, 2);
+        // A hop changes the mover's position: its next question misses.
+        w.hop_towards_output(free, 1);
+        w.distance_to_output(free);
+        assert_eq!(w.metrics().eq9_memo_hits, 1);
+    }
+
+    #[test]
+    fn eq9_radius_follows_the_catalogue() {
+        // Carrying moves start one cell off the window centre: 1 + 1 + 1.
+        for catalog in [
+            RuleCatalog::standard(),
+            RuleCatalog::paper_rules_only(),
+            RuleCatalog::carrying_only(),
+        ] {
+            assert_eq!(eq9_radius(&catalog), 3);
+        }
+        // Sliding moves start at the centre: 0 + 1 + 1.
+        assert_eq!(eq9_radius(&RuleCatalog::sliding_only()), 2);
+        assert_eq!(eq9_radius(&RuleCatalog::new()), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Eq. 9 radius")]
+    fn construction_rejects_a_catalogue_wider_than_the_memo_window() {
+        use sb_motion::{ElementaryMove, MatrixCoord, MotionMatrix, MotionRule};
+        // A 5×5 rule sliding the block north-west of its centre east: its
+        // radius is 1 + 2 + 1 = 4, which needs a 9×9 window.
+        let mut codes = [2u8; 25];
+        codes[5 + 1] = 4;
+        codes[5 + 2] = 3;
+        let rule = MotionRule::new(
+            "wide_east",
+            MotionMatrix::from_codes(5, &codes).unwrap(),
+            vec![ElementaryMove::new(
+                MatrixCoord::new(1, 1),
+                MatrixCoord::new(2, 1),
+            )],
+        )
+        .unwrap();
+        let catalog = RuleCatalog::from_rules([rule]);
+        assert_eq!(eq9_radius(&catalog), 4);
+        let config = small_world().config().clone();
+        SurfaceWorld::new(config, catalog, MotionModel::RuleBased);
     }
 
     #[test]

@@ -215,6 +215,7 @@ pub struct ConnectivityOracle {
     incremental_updates: u64,
     fast_probes: u64,
     fallback_probes: u64,
+    nonlocal_probes: u64,
 }
 
 impl ConnectivityOracle {
@@ -235,8 +236,21 @@ impl ConnectivityOracle {
     /// state, everything else falls back to the scratch BFS (see the
     /// module docs for the exact contract).
     pub fn preserves_connectivity(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
+        let (connected, local) = self.verdict(grid, moves);
+        if !local {
+            self.nonlocal_probes += 1;
+        }
+        connected
+    }
+
+    /// The verdict of [`ConnectivityOracle::preserves_connectivity`] and
+    /// whether it is *local*: decided by the ring certificate of the net
+    /// vacated cell plus the landing cell's neighbours on a connected
+    /// ensemble, so it reads nothing beyond the vacated cell's 8-ring and
+    /// the landing cell's 4-neighbourhood.
+    fn verdict(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> (bool, bool) {
         if grid.block_count() <= 1 {
-            return true;
+            return (true, false);
         }
         self.ensure_light(grid);
         // Net-effect reduction.  The post-move board is
@@ -257,7 +271,7 @@ impl ConnectivityOracle {
                 .filter(|&d| moves.iter().all(|&(s, _)| s != d));
             let verdict = match (vacated.next(), filled.next()) {
                 // The net-empty batch leaves the board as it stands.
-                (None, None) => Some(self.components <= 1),
+                (None, None) => Some((self.components <= 1, false)),
                 // One net cell out, one in: exactly the single-move
                 // shape, whether or not the two are adjacent.  The
                 // forest-free fast path (pendant mover or local bypass
@@ -269,22 +283,26 @@ impl ConnectivityOracle {
                         && vacated.next().is_none()
                         && filled.next().is_none() =>
                 {
-                    if let Some(connected) = self.single_move_fast(grid, f, t) {
-                        Some(connected)
+                    if let Some(fast) = self.single_move_fast(grid, f, t) {
+                        Some(fast)
                     } else {
                         self.ensure_forest_for(grid, f, t);
                         self.single_move_verdict(grid, f, t)
+                            .map(|connected| (connected, false))
                     }
                 }
                 _ => None,
             };
-            if let Some(connected) = verdict {
+            if let Some(verdict) = verdict {
                 self.fast_probes += 1;
-                return connected;
+                return verdict;
             }
         }
         self.fallback_probes += 1;
-        connectivity::is_connected_after(grid, moves, &mut self.bfs)
+        (
+            connectivity::is_connected_after(grid, moves, &mut self.bfs),
+            false,
+        )
     }
 
     /// Whether the block at `pos` is an articulation point of the current
@@ -336,6 +354,19 @@ impl ConnectivityOracle {
     /// Probes that fell back to the scratch BFS.
     pub fn fallback_probes(&self) -> u64 {
         self.fallback_probes
+    }
+
+    /// Probes whose verdict used non-local state: the pendant-mover
+    /// invariant, the DFS forest, the net-empty component count, the BFS
+    /// or the lone-block shortcut.  Every other probe was decided by the ring certificate of its
+    /// net vacated cell plus a landing-neighbour check on a connected
+    /// ensemble, both functions of the cells within one step of the
+    /// batch.  A caller that sees this counter unchanged across a query
+    /// may therefore reuse the query's answer for as long as the
+    /// neighbourhood it read is unchanged (connectivity, once reached,
+    /// survives every admitted move).
+    pub fn nonlocal_probes(&self) -> u64 {
+        self.nonlocal_probes
     }
 
     #[inline]
@@ -767,14 +798,19 @@ impl ConnectivityOracle {
     /// connected ensemble: the pendant-mover invariant or the ring
     /// certificate proves `occupancy \ {f}` connected, after which the
     /// move preserves connectivity iff `t` touches a block other than the
-    /// mover.  `None` when neither applies (the forest decides).
-    fn single_move_fast(&self, grid: &OccupancyGrid, f: Pos, t: Pos) -> Option<bool> {
-        let removable = (self.sat == Some(f) && self.sat_removable)
-            || ring_certificate(&|p: Pos| grid.is_occupied(p), f);
+    /// mover.  Returns `(connected, local)`, `local` when the ring
+    /// certificate holds (the pendant-mover invariant is consulted only
+    /// when it does not); `None` when neither applies (the forest
+    /// decides).
+    fn single_move_fast(&self, grid: &OccupancyGrid, f: Pos, t: Pos) -> Option<(bool, bool)> {
+        let local = ring_certificate(&|p: Pos| grid.is_occupied(p), f);
+        let removable = local || (self.sat == Some(f) && self.sat_removable);
         removable.then(|| {
-            t.neighbors4()
+            let attached = t
+                .neighbors4()
                 .iter()
-                .any(|&q| q != f && grid.is_occupied(q))
+                .any(|&q| q != f && grid.is_occupied(q));
+            (attached, local)
         })
     }
 
@@ -1210,6 +1246,24 @@ mod tests {
         assert!(oracle.is_cut_vertex(&g, Pos::new(2, 0)));
         assert!(!oracle.is_cut_vertex(&g, Pos::new(3, 0)));
         assert_eq!(oracle.rebuilds(), 1, "one state, one Tarjan pass");
+    }
+
+    #[test]
+    fn nonlocal_probes_count_verdicts_beyond_the_ring_certificate() {
+        let g = grid_from(&[(0, 0), (1, 0), (2, 0)]);
+        let mut oracle = ConnectivityOracle::new();
+        // An end block's ring certifies its removal, and the landing
+        // check decides: a local verdict.
+        assert!(!oracle.preserves_connectivity(&g, &[(Pos::new(2, 0), Pos::new(3, 0))]));
+        assert!(oracle.preserves_connectivity(&g, &[(Pos::new(2, 0), Pos::new(1, 1))]));
+        assert_eq!(oracle.nonlocal_probes(), 0);
+        // The middle block is a cut vertex: the DFS forest decides.
+        assert!(!oracle.preserves_connectivity(&g, &[(Pos::new(1, 0), Pos::new(1, 1))]));
+        assert_eq!(oracle.nonlocal_probes(), 1);
+        // So does the BFS of a disconnected ensemble.
+        let split = grid_from(&[(0, 0), (2, 0), (3, 0)]);
+        assert!(!oracle.preserves_connectivity(&split, &[(Pos::new(3, 0), Pos::new(3, 1))]));
+        assert_eq!(oracle.nonlocal_probes(), 2);
     }
 
     #[test]

@@ -108,7 +108,9 @@ fn election_deliver_step_dispatch_allocates_nothing_after_warmup() {
     // ack folding, Root conclusion) over every block of a column world
     // whose reconfiguration already completed: hops are excluded by
     // construction, because a hop appends to the world's move log, which
-    // legitimately accumulates.
+    // legitimately accumulates.  A replayed round re-asks its
+    // Eq. 9 questions under an unchanged occupancy, so the world's verdict
+    // memo serves them, and the pin covers that path too.
     use sb_core::election::{AlgorithmConfig, ElectionCore, TieBreak};
     use sb_core::runtime::{BlockHarness, Color, Transport};
     use sb_core::workloads::column_instance;
@@ -213,6 +215,7 @@ fn election_deliver_step_dispatch_allocates_nothing_after_warmup() {
     }
     assert!(reference > 0 && reference < first);
     let moves_before = world.metrics().elementary_moves;
+    let memo_hits_before = world.metrics().eq9_memo_hits;
 
     // Measured: identical full election rounds, counting only this
     // thread's allocations.
@@ -230,6 +233,10 @@ fn election_deliver_step_dispatch_allocates_nothing_after_warmup() {
         world.metrics().elementary_moves,
         moves_before,
         "the measured rounds must not move a block"
+    );
+    assert!(
+        world.metrics().eq9_memo_hits > memo_hits_before,
+        "the measured rounds must be served by the Eq. 9 memo"
     );
     assert_eq!(
         after - before,

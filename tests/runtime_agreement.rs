@@ -5,6 +5,9 @@
 //! outcome) under the deterministic discrete-event scheduler, under heavy
 //! random message jitter, and under true thread-level asynchrony.
 
+mod common;
+
+use common::expected_activations;
 use sb_bench::sweep::{Family, FaultSpec, ReliabilitySpec};
 use smart_surface::core::election::AlgorithmConfig;
 use smart_surface::core::workloads::{column_instance, fig10_instance};
@@ -97,13 +100,16 @@ fn all_families_agree_across_runtimes_at_small_n() {
     // message timing — so the hop sequence, the final occupancy and the
     // outcome must agree between the deterministic scheduler and true
     // thread-level asynchrony, for completing and stalling families
-    // alike.
+    // alike.  Remark 3's flood cost is exact on both runtimes: it follows
+    // from the configurations the elections start from, not from message
+    // order.
     for family in Family::ALL {
         let algo = AlgorithmConfig {
             tie_break: TieBreak::LowestId,
             ..Default::default()
         };
-        let driver = ReconfigurationDriver::new(family.build(8, 1)).with_algorithm(algo);
+        let config = family.build(8, 1);
+        let driver = ReconfigurationDriver::new(config.clone()).with_algorithm(algo);
         let des = driver.run_des();
         let actors = driver.run_actors(Duration::from_secs(120));
         assert!(
@@ -129,6 +135,22 @@ fn all_families_agree_across_runtimes_at_small_n() {
             "{}: the hop sequence is timing-independent under LowestId",
             family.name()
         );
+        for report in [&des, &actors] {
+            let m = &report.metrics;
+            let expected = expected_activations(&config, report);
+            assert_eq!(
+                (m.activate_msgs, m.ack_msgs),
+                (expected, expected),
+                "{}: every Activate of the flood is acked once: {report}",
+                family.name()
+            );
+            assert_eq!(
+                m.elections,
+                m.elected_hops + u64::from(report.stalled),
+                "{}: one hop per election, none in a stalled run's last: {report}",
+                family.name()
+            );
+        }
     }
 }
 
