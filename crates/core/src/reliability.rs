@@ -150,6 +150,9 @@ struct SendLink {
     peer: usize,
     next_seq: u32,
     inflight: Vec<InFlight>,
+    /// The link's constant share of the retransmission-jitter hash (see
+    /// [`jitter_prefix`]).
+    jitter_prefix: u64,
 }
 
 /// Receive-side anti-replay window of one directed link: the highest
@@ -214,13 +217,14 @@ impl ReliabilityState {
                     peer,
                     next_seq: 1,
                     inflight: Vec::new(),
+                    jitter_prefix: jitter_prefix(me, peer),
                 });
                 self.send_links.last_mut().expect("just pushed")
             }
         };
         let seq = link.next_seq;
         link.next_seq = link.next_seq.wrapping_add(1);
-        let delay = jittered_delay(config.base_rto_us, me, peer, seq, 0);
+        let delay = jittered_delay(config.base_rto_us, link.jitter_prefix, seq, 0);
         link.inflight.push(InFlight {
             seq,
             msg: msg.clone(),
@@ -282,7 +286,7 @@ impl ReliabilityState {
     }
 
     /// Handles a retransmission timer for `(peer, seq)`.
-    pub fn on_timer(&mut self, peer: usize, seq: u32, me: u32) -> TimerVerdict {
+    pub fn on_timer(&mut self, peer: usize, seq: u32) -> TimerVerdict {
         let config = self.config;
         let Some(link) = self.send_links.iter_mut().find(|l| l.peer == peer) else {
             return TimerVerdict::Stale;
@@ -299,7 +303,7 @@ impl ReliabilityState {
         entry.rto_us = (entry.rto_us.saturating_mul(2)).min(config.max_rto_us);
         TimerVerdict::Retransmit {
             msg: entry.msg.clone(),
-            delay_us: jittered_delay(entry.rto_us, me, peer, seq, entry.retries),
+            delay_us: jittered_delay(entry.rto_us, link.jitter_prefix, seq, entry.retries),
         }
     }
 }
@@ -316,17 +320,23 @@ pub(crate) fn split_tag(tag: u64) -> (usize, u32) {
     ((tag >> 32) as usize, tag as u32)
 }
 
+/// The per-link prefix of the retransmission-jitter hash: FNV-1a over
+/// `"rto"`, the sending block and the peer — 19 of the hash's 35 bytes,
+/// constant for the link, so they are hashed once when the link opens.
+fn jitter_prefix(me: u32, peer: usize) -> u64 {
+    let h = fnv1a64(b"rto", 0xcbf2_9ce4_8422_2325);
+    let h = fnv1a64(&u64::from(me).to_le_bytes(), h);
+    fnv1a64(&(peer as u64).to_le_bytes(), h)
+}
+
 /// The (pre-armed) delay before the next retransmission timer: the
 /// current RTO plus a deterministic jitter of up to 25 %, hashed from the
-/// sending block, the link, the sequence number and the attempt — so
-/// retransmission bursts decorrelate across links without any RNG state
-/// in the harness.
-fn jittered_delay(rto_us: u64, me: u32, peer: usize, seq: u32, attempt: u32) -> u64 {
-    let mut h = fnv1a64(b"rto", 0xcbf2_9ce4_8422_2325);
-    h = fnv1a64(&u64::from(me).to_le_bytes(), h);
-    h = fnv1a64(&(peer as u64).to_le_bytes(), h);
-    h = fnv1a64(&u64::from(seq).to_le_bytes(), h);
-    h = fnv1a64(&u64::from(attempt).to_le_bytes(), h);
+/// link's [`jitter_prefix`] (sending block and peer), the sequence number
+/// and the attempt — so retransmission bursts decorrelate across links
+/// without any RNG state in the harness.
+fn jittered_delay(rto_us: u64, jitter_prefix: u64, seq: u32, attempt: u32) -> u64 {
+    let h = fnv1a64(&u64::from(seq).to_le_bytes(), jitter_prefix);
+    let h = fnv1a64(&u64::from(attempt).to_le_bytes(), h);
     rto_us + splitmix64(h) % (rto_us / 4 + 1)
 }
 
@@ -359,9 +369,9 @@ mod tests {
         let (seq, _) = state.register_send(3, &probe_msg(), 0);
         assert!(state.on_delivery_ack(3, seq));
         assert!(!state.on_delivery_ack(3, seq), "double ack is a no-op");
-        assert!(matches!(state.on_timer(3, seq, 0), TimerVerdict::Stale));
+        assert!(matches!(state.on_timer(3, seq), TimerVerdict::Stale));
         assert!(
-            matches!(state.on_timer(9, 1, 0), TimerVerdict::Stale),
+            matches!(state.on_timer(9, 1), TimerVerdict::Stale),
             "a timer for an unknown link is stale, not a panic"
         );
     }
@@ -378,7 +388,7 @@ mod tests {
         assert!(first_delay <= config.base_rto_us + config.base_rto_us / 4);
         let mut delays = Vec::new();
         for _ in 0..config.retry_limit {
-            match state.on_timer(2, seq, 7) {
+            match state.on_timer(2, seq) {
                 TimerVerdict::Retransmit { msg, delay_us } => {
                     assert_eq!(msg, probe_msg());
                     delays.push(delay_us);
@@ -390,9 +400,9 @@ mod tests {
         assert!(delays[0] >= 2_000 && delays[0] <= 2_500);
         assert!(delays[1] >= 4_000 && delays[1] <= 5_000);
         assert!(delays[2] >= 8_000 && delays[2] <= 10_000);
-        assert!(matches!(state.on_timer(2, seq, 7), TimerVerdict::Exhausted));
+        assert!(matches!(state.on_timer(2, seq), TimerVerdict::Exhausted));
         // The entry is gone: a later (duplicate) timer is stale.
-        assert!(matches!(state.on_timer(2, seq, 7), TimerVerdict::Stale));
+        assert!(matches!(state.on_timer(2, seq), TimerVerdict::Stale));
     }
 
     #[test]
@@ -407,7 +417,7 @@ mod tests {
         let (seq, _) = state.register_send(1, &probe_msg(), 0);
         let mut last = 0;
         for _ in 0..10 {
-            if let TimerVerdict::Retransmit { delay_us, .. } = state.on_timer(1, seq, 0) {
+            if let TimerVerdict::Retransmit { delay_us, .. } = state.on_timer(1, seq) {
                 last = delay_us;
             }
         }
@@ -451,14 +461,49 @@ mod tests {
         }
     }
 
+    /// The jitter formula as it stood before the per-link prefix: 35
+    /// byte-serial FNV-1a steps over `"rto"`, sender, peer, sequence and
+    /// attempt, finalised with splitmix64.
+    fn reference_jittered_delay(rto_us: u64, me: u32, peer: usize, seq: u32, attempt: u32) -> u64 {
+        let mut h = fnv1a64(b"rto", 0xcbf2_9ce4_8422_2325);
+        h = fnv1a64(&u64::from(me).to_le_bytes(), h);
+        h = fnv1a64(&(peer as u64).to_le_bytes(), h);
+        h = fnv1a64(&u64::from(seq).to_le_bytes(), h);
+        h = fnv1a64(&u64::from(attempt).to_le_bytes(), h);
+        rto_us + splitmix64(h) % (rto_us / 4 + 1)
+    }
+
     #[test]
     fn jitter_is_deterministic_and_bounded() {
-        let a = jittered_delay(1_000, 1, 2, 3, 0);
-        assert_eq!(a, jittered_delay(1_000, 1, 2, 3, 0));
-        assert!((1_000..=1_250).contains(&a));
-        // Different attempts decorrelate.
-        let b = jittered_delay(1_000, 1, 2, 3, 1);
-        assert!((1_000..=1_250).contains(&b));
+        // Equal delays mean equal timer times, so retransmission
+        // schedules are unchanged by hashing the link prefix once.
+        let config = ReliabilityConfig {
+            retry_limit: 3,
+            ..ReliabilityConfig::on()
+        };
+        for me in 0..20u32 {
+            let mut state = ReliabilityState::new(config);
+            for peer in 0..20usize {
+                for seq in 1..30u32 {
+                    let (got_seq, first) = state.register_send(peer, &probe_msg(), me);
+                    assert_eq!(got_seq, seq);
+                    assert_eq!(first, reference_jittered_delay(1_000, me, peer, seq, 0));
+                    assert!((1_000..=1_250).contains(&first));
+                }
+                for seq in 1..30u32 {
+                    let mut rto_us = config.base_rto_us;
+                    for attempt in 1..4u32 {
+                        rto_us *= 2;
+                        let TimerVerdict::Retransmit { delay_us, .. } = state.on_timer(peer, seq)
+                        else {
+                            panic!("expected a retransmission of ({me}, {peer}, {seq})");
+                        };
+                        let expect = reference_jittered_delay(rto_us, me, peer, seq, attempt);
+                        assert_eq!(delay_us, expect, "({me}, {peer}, {seq}, {attempt})");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -467,7 +512,7 @@ mod tests {
         let (seq, _) = state.register_send(2, &probe_msg(), 0);
         assert_eq!(state.on_data(2, 9), Deliver::Fresh);
         state.reset();
-        assert!(matches!(state.on_timer(2, seq, 0), TimerVerdict::Stale));
+        assert!(matches!(state.on_timer(2, seq), TimerVerdict::Stale));
         let (seq2, _) = state.register_send(2, &probe_msg(), 0);
         assert_eq!(seq2, 1, "sequence numbering restarts after reset");
         assert_eq!(state.on_data(2, 9), Deliver::Fresh, "window cleared");

@@ -356,8 +356,7 @@ impl BlockHarness {
             return;
         }
         let (peer, seq) = split_tag(tag);
-        let me = self.core.id().as_u32();
-        match self.reliability.on_timer(peer, seq, me) {
+        match self.reliability.on_timer(peer, seq) {
             TimerVerdict::Stale => {}
             TimerVerdict::Retransmit { msg, delay_us } => {
                 transport.with_world(|world| world.metrics_mut().retransmissions += 1);

@@ -8,10 +8,12 @@
 //! simple laptop" (Section V.E).  VisibleSim is not reusable here, so this
 //! crate implements the same architectural idea from scratch:
 //!
-//! * a **discrete-event core**: one binary heap of pending events keyed
-//!   by `(time, seq)`, so equal-time events fire in FIFO order; start-up
-//!   callbacks, message deliveries and timers are all ordinary events
-//!   (see [`sim`] for the layout);
+//! * a **discrete-event core**: pending events keyed by `(time, seq)` in
+//!   two binary heaps, one for start-up callbacks and message deliveries
+//!   and one for timers, so that the retransmission timers of a reliable
+//!   run never deepen the delivery heap; the dispatcher pops the earlier
+//!   head, and one global `seq` keeps equal-time events in FIFO order
+//!   across both (see [`sim`] for the layout);
 //! * per-module **block codes** ([`BlockCode`]): the user program executed
 //!   by every block, reacting to message and timer events (a block that
 //!   needs VisibleSim's discrete-time ticks re-arms a timer with
@@ -54,8 +56,8 @@
 //! }
 //!
 //! let mut sim = Simulator::new(());
-//! let a = sim.add_module(Ping { peer: None, got: 0 });
-//! let b = sim.add_module(Ping { peer: Some(a), got: 0 });
+//! let a = sim.add(Ping { peer: None, got: 0 });
+//! let b = sim.add(Ping { peer: Some(a), got: 0 });
 //! assert_ne!(a, b);
 //! sim.run_until_idle();
 //! assert!(sim.stats().events_processed >= 2);

@@ -102,24 +102,6 @@ pub trait BlockCode<M, W>: Send {
     }
 }
 
-/// Type-erased block codes are block codes: this is what lets the
-/// heterogeneous `Box<dyn BlockCode>` arena run through the same
-/// monomorphic dispatch loop as a concrete module type (the boxed arena
-/// simply monomorphizes over the box).
-impl<M, W> BlockCode<M, W> for Box<dyn BlockCode<M, W>> {
-    fn on_start(&mut self, ctx: &mut Context<'_, M, W>) {
-        (**self).on_start(ctx);
-    }
-
-    fn on_message(&mut self, from: ModuleId, msg: M, ctx: &mut Context<'_, M, W>) {
-        (**self).on_message(from, msg, ctx);
-    }
-
-    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, M, W>) {
-        (**self).on_timer(tag, ctx);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

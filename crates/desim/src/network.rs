@@ -7,7 +7,11 @@
 //! distribution for every message; a [`NetworkModel`] generalises it to a
 //! **per-link** transport:
 //!
-//! * every directed link `(from, to)` owns an independent RNG stream,
+//! * a [`NetworkModel::Uniform`] network keeps no per-link state: every
+//!   send draws its delay from the simulator's kernel RNG, exactly as the
+//!   global [`crate::latency::LatencyModel`] would;
+//! * under every other model, each directed link `(from, to)` owns an
+//!   independent RNG stream,
 //!   seeded by a stable FNV-1a/splitmix64 hash of the network seed and the
 //!   link's endpoints (the same semantic-seeding discipline the sweep
 //!   engine uses for its cells), so the delay sequence observed on a link
@@ -26,13 +30,12 @@ use crate::latency::LatencyModel;
 use crate::time::Duration;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::collections::HashMap; // sb-allow: nondet-iteration — keyed access only (see NetworkState::links)
 
 /// How the transport treats each directed link between two modules.
 ///
-/// `Uniform` reproduces the historical global-latency behaviour; every
-/// other variant derives per-link state from the simulator seed (see the
-/// module docs).
+/// `Uniform` reproduces the historical global-latency behaviour (one
+/// draw from the kernel RNG per send); every other variant derives
+/// per-link state from the simulator seed (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetworkModel {
     /// Every link samples the same latency model; no faults.
@@ -138,17 +141,20 @@ struct LinkState {
     routed: u32,
 }
 
-/// The kernel-side state of a [`NetworkModel`]: the per-link map and the
-/// seed the link streams derive from.
+/// The kernel-side state of a [`NetworkModel`]: the per-link table and
+/// the seed the link streams derive from.
 pub(crate) struct NetworkState {
     model: NetworkModel,
     seed: u64,
-    /// Per-directed-link state, looked up by key on every message send.
-    /// Never iterated: each link's RNG stream is seeded from its own
-    /// endpoints, so map order cannot reach delays, records, or wire
-    /// traffic.
-    // sb-allow: nondet-iteration — keyed-only hot-path lookup; order never escapes
-    links: HashMap<(usize, usize), LinkState>,
+    /// Per-directed-link state, created on a link's first send: row
+    /// `from` lists `(to, state)` in first-send order and is scanned
+    /// linearly, with no hashing per send (blocks talk to a handful of
+    /// neighbours — at most 4 on the Smart Blocks grid — so rows stay
+    /// short).  Row order is never observable: each link's RNG stream is
+    /// seeded from its own endpoints, so it cannot reach delays, records,
+    /// or wire traffic.  Stays empty on a [`NetworkModel::Uniform`]
+    /// network.
+    links: Vec<Vec<(usize, LinkState)>>,
 }
 
 impl NetworkState {
@@ -156,7 +162,7 @@ impl NetworkState {
         NetworkState {
             model,
             seed,
-            links: HashMap::new(), // sb-allow: nondet-iteration — keyed-only; see field docs
+            links: Vec::new(),
         }
     }
 
@@ -176,59 +182,24 @@ impl NetworkState {
         self.model
     }
 
-    /// Borrowing accessor for the dispatch hot path (avoids copying the
-    /// enum per message send).
-    pub(crate) fn model_ref(&self) -> &NetworkModel {
-        &self.model
-    }
-
     /// Decides delivery of one message on the directed link `from → to`.
-    pub(crate) fn route(&mut self, from: usize, to: usize) -> Route {
-        let model = self.model;
-        let seed = self.seed;
-        let link = self.links.entry((from, to)).or_insert_with(|| {
-            // The fixed delay of a symmetric heterogeneous link hashes the
-            // *unordered* endpoint pair so both directions agree; every
-            // other per-link quantity hashes the directed pair.
-            let directed = link_seed(seed, from, to);
-            let (fixed, phase) = match model {
-                NetworkModel::HeterogeneousLinks {
-                    min,
-                    max,
-                    symmetric,
-                } => {
-                    let pair = if symmetric {
-                        link_seed(seed, from.min(to), from.max(to))
-                    } else {
-                        directed
-                    };
-                    (log_uniform(&mut SmallRng::seed_from_u64(pair), min, max), 0)
-                }
-                NetworkModel::JitterBursts { period, .. } => {
-                    let mut rng = SmallRng::seed_from_u64(directed);
-                    (Duration::ZERO, rng.gen_range(0..period.max(1)))
-                }
-                _ => (Duration::ZERO, 0),
-            };
-            LinkState {
-                rng: SmallRng::seed_from_u64(directed),
-                fixed,
-                routed: phase,
-            }
-        });
+    /// A [`NetworkModel::Uniform`] network draws the delay from `rng` (the
+    /// kernel RNG) and touches no link state; every other model draws
+    /// from the link's own stream.
+    pub(crate) fn route(&mut self, from: usize, to: usize, rng: &mut SmallRng) -> Route {
         let mut route = Route {
             delivery: None,
             duplicate: None,
         };
-        match model {
+        match self.model {
             NetworkModel::Uniform(latency) => {
-                route.delivery = Some(latency.sample(&mut link.rng));
+                route.delivery = Some(latency.sample(rng));
             }
             NetworkModel::HeterogeneousLinks { .. } => {
-                route.delivery = Some(link.fixed);
+                route.delivery = Some(self.link(from, to).fixed);
             }
             NetworkModel::HeavyTail { min, max } => {
-                route.delivery = Some(log_uniform(&mut link.rng, min, max));
+                route.delivery = Some(log_uniform(&mut self.link(from, to).rng, min, max));
             }
             NetworkModel::JitterBursts {
                 base,
@@ -236,6 +207,7 @@ impl NetworkState {
                 period,
                 burst_len,
             } => {
+                let link = self.link(from, to);
                 let slot = link.routed % period.max(1);
                 link.routed = link.routed.wrapping_add(1);
                 route.delivery = Some(if slot < burst_len { spike } else { base });
@@ -244,6 +216,7 @@ impl NetworkState {
                 latency,
                 drop_permille,
             } => {
+                let link = self.link(from, to);
                 if !link.rng.gen_ratio(u32::from(drop_permille.min(1000)), 1000) {
                     route.delivery = Some(latency.sample(&mut link.rng));
                 }
@@ -252,6 +225,7 @@ impl NetworkState {
                 latency,
                 dup_permille,
             } => {
+                let link = self.link(from, to);
                 route.delivery = Some(latency.sample(&mut link.rng));
                 if link.rng.gen_ratio(u32::from(dup_permille.min(1000)), 1000) {
                     route.duplicate = Some(latency.sample(&mut link.rng));
@@ -263,6 +237,7 @@ impl NetworkState {
                 drop_permille,
                 dup_permille,
             } => {
+                let link = self.link(from, to);
                 if !link.rng.gen_ratio(u32::from(drop_permille.min(1000)), 1000) {
                     route.delivery = Some(log_uniform(&mut link.rng, min, max));
                     if link.rng.gen_ratio(u32::from(dup_permille.min(1000)), 1000) {
@@ -272,6 +247,55 @@ impl NetworkState {
             }
         }
         route
+    }
+
+    /// The state of the directed link `from → to`, created on first use.
+    fn link(&mut self, from: usize, to: usize) -> &mut LinkState {
+        if from >= self.links.len() {
+            self.links.resize_with(from + 1, Vec::new);
+        }
+        let row = &mut self.links[from];
+        let i = match row.iter().position(|&(peer, _)| peer == to) {
+            Some(i) => i,
+            None => {
+                row.push((to, LinkState::new(self.model, self.seed, from, to)));
+                row.len() - 1
+            }
+        };
+        &mut row[i].1
+    }
+}
+
+impl LinkState {
+    fn new(model: NetworkModel, seed: u64, from: usize, to: usize) -> Self {
+        // The fixed delay of a symmetric heterogeneous link hashes the
+        // *unordered* endpoint pair so both directions agree; every other
+        // per-link quantity hashes the directed pair.
+        let directed = link_seed(seed, from, to);
+        let (fixed, phase) = match model {
+            NetworkModel::HeterogeneousLinks {
+                min,
+                max,
+                symmetric,
+            } => {
+                let pair = if symmetric {
+                    link_seed(seed, from.min(to), from.max(to))
+                } else {
+                    directed
+                };
+                (log_uniform(&mut SmallRng::seed_from_u64(pair), min, max), 0)
+            }
+            NetworkModel::JitterBursts { period, .. } => {
+                let mut rng = SmallRng::seed_from_u64(directed);
+                (Duration::ZERO, rng.gen_range(0..period.max(1)))
+            }
+            _ => (Duration::ZERO, 0),
+        };
+        LinkState {
+            rng: SmallRng::seed_from_u64(directed),
+            fixed,
+            routed: phase,
+        }
     }
 }
 
@@ -331,18 +355,34 @@ fn log_uniform(rng: &mut SmallRng, min: Duration, max: Duration) -> Duration {
 mod tests {
     use super::*;
 
+    /// Routes one send on a per-link model, which never draws from the
+    /// kernel RNG passed here.
+    fn send(net: &mut NetworkState, from: usize, to: usize) -> Route {
+        net.route(from, to, &mut SmallRng::seed_from_u64(0))
+    }
+
     fn micros(route: Route) -> u64 {
         route.delivery.expect("delivered").as_micros()
     }
 
     #[test]
     fn uniform_model_reproduces_the_latency_model() {
-        let mut net = NetworkState::new(
-            NetworkModel::Uniform(LatencyModel::Fixed(Duration::micros(7))),
-            1,
+        let latency = LatencyModel::Uniform {
+            min: Duration::micros(1),
+            max: Duration::micros(100),
+        };
+        let mut net = NetworkState::new(NetworkModel::Uniform(latency), 1);
+        let mut kernel = SmallRng::seed_from_u64(9);
+        let mut reference = SmallRng::seed_from_u64(9);
+        for (from, to) in [(0, 1), (5, 9), (0, 1), (9, 5)] {
+            let route = net.route(from, to, &mut kernel);
+            assert_eq!(route.delivery, Some(latency.sample(&mut reference)));
+            assert_eq!(route.duplicate, None);
+        }
+        assert!(
+            net.links.is_empty(),
+            "no per-link state on a uniform network"
         );
-        assert_eq!(micros(net.route(0, 1)), 7);
-        assert_eq!(micros(net.route(5, 9)), 7);
     }
 
     #[test]
@@ -353,13 +393,13 @@ mod tests {
             symmetric: false,
         };
         let mut net = NetworkState::new(model, 42);
-        let ab = micros(net.route(0, 1));
-        let ba = micros(net.route(1, 0));
-        let cd = micros(net.route(2, 3));
+        let ab = micros(send(&mut net, 0, 1));
+        let ba = micros(send(&mut net, 1, 0));
+        let cd = micros(send(&mut net, 2, 3));
         // Constant per link…
         for _ in 0..10 {
-            assert_eq!(micros(net.route(0, 1)), ab);
-            assert_eq!(micros(net.route(1, 0)), ba);
+            assert_eq!(micros(send(&mut net, 0, 1)), ab);
+            assert_eq!(micros(send(&mut net, 1, 0)), ba);
         }
         // …different across links and directions (5 decades of spread make
         // a collision astronomically unlikely for these fixed seeds).
@@ -376,7 +416,7 @@ mod tests {
             symmetric: true,
         };
         let mut net = NetworkState::new(model, 42);
-        assert_eq!(micros(net.route(3, 8)), micros(net.route(8, 3)));
+        assert_eq!(micros(send(&mut net, 3, 8)), micros(send(&mut net, 8, 3)));
     }
 
     #[test]
@@ -387,16 +427,16 @@ mod tests {
         };
         // Route only on link (0,1).
         let mut alone = NetworkState::new(model, 7);
-        let solo: Vec<u64> = (0..20).map(|_| micros(alone.route(0, 1))).collect();
+        let solo: Vec<u64> = (0..20).map(|_| micros(send(&mut alone, 0, 1))).collect();
         // Interleave traffic on other links: the (0,1) sequence must not
         // move (the historical global-RNG latency model failed this).
         let mut busy = NetworkState::new(model, 7);
         let interleaved: Vec<u64> = (0..20)
             .map(|i| {
                 for other in 2..5 {
-                    busy.route(other, i % 2);
+                    send(&mut busy, other, i % 2);
                 }
-                micros(busy.route(0, 1))
+                micros(send(&mut busy, 0, 1))
             })
             .collect();
         assert_eq!(solo, interleaved);
@@ -409,7 +449,7 @@ mod tests {
             max: Duration::millis(10),
         };
         let mut net = NetworkState::new(model, 3);
-        let samples: Vec<u64> = (0..500).map(|_| micros(net.route(0, 1))).collect();
+        let samples: Vec<u64> = (0..500).map(|_| micros(send(&mut net, 0, 1))).collect();
         assert!(samples.iter().all(|&s| (1..=10_000).contains(&s)));
         // Log-uniform: roughly a quarter of the mass in each decade of
         // [1, 10^4]; just assert both extremes of the spread show up.
@@ -426,7 +466,7 @@ mod tests {
             burst_len: 2,
         };
         let mut net = NetworkState::new(model, 9);
-        let delays: Vec<u64> = (0..32).map(|_| micros(net.route(0, 1))).collect();
+        let delays: Vec<u64> = (0..32).map(|_| micros(send(&mut net, 0, 1))).collect();
         let spikes = delays.iter().filter(|&&d| d == 1_000).count();
         let bases = delays.iter().filter(|&&d| d == 10).count();
         assert_eq!(spikes, 8, "2 spike messages per 8-message window");
@@ -435,7 +475,7 @@ mod tests {
         assert_eq!(delays[..8], delays[8..16]);
         // A different link is phase-staggered or at least independently
         // seeded; its sequence still contains the same mix.
-        let other: Vec<u64> = (0..32).map(|_| micros(net.route(1, 2))).collect();
+        let other: Vec<u64> = (0..32).map(|_| micros(send(&mut net, 1, 2))).collect();
         assert_eq!(other.iter().filter(|&&d| d == 1_000).count(), 8);
     }
 
@@ -449,7 +489,7 @@ mod tests {
             },
             1,
         );
-        assert!((0..200).all(|_| never.route(0, 1).delivery.is_some()));
+        assert!((0..200).all(|_| send(&mut never, 0, 1).delivery.is_some()));
         let mut always = NetworkState::new(
             NetworkModel::Lossy {
                 latency,
@@ -457,7 +497,7 @@ mod tests {
             },
             1,
         );
-        assert!((0..200).all(|_| always.route(0, 1).delivery.is_none()));
+        assert!((0..200).all(|_| send(&mut always, 0, 1).delivery.is_none()));
         let mut half = NetworkState::new(
             NetworkModel::Lossy {
                 latency,
@@ -466,7 +506,7 @@ mod tests {
             1,
         );
         let dropped = (0..2000)
-            .filter(|_| half.route(0, 1).delivery.is_none())
+            .filter(|_| send(&mut half, 0, 1).delivery.is_none())
             .count();
         assert!(
             (800..1200).contains(&dropped),
@@ -489,7 +529,7 @@ mod tests {
         );
         let mut overtakes = 0;
         for _ in 0..200 {
-            let route = net.route(0, 1);
+            let route = send(&mut net, 0, 1);
             let original = route.delivery.expect("never dropped");
             let copy = route.duplicate.expect("always duplicated");
             if copy < original {
@@ -511,7 +551,7 @@ mod tests {
         let mut dropped = 0usize;
         let mut duplicated = 0usize;
         for _ in 0..2000 {
-            let route = net.route(0, 1);
+            let route = send(&mut net, 0, 1);
             match route.delivery {
                 None => {
                     dropped += 1;
@@ -547,7 +587,7 @@ mod tests {
             },
             1,
         );
-        assert!((0..200).all(|_| always_drop.route(0, 1).delivery.is_none()));
+        assert!((0..200).all(|_| send(&mut always_drop, 0, 1).delivery.is_none()));
         let mut always_dup = NetworkState::new(
             NetworkModel::Faulty {
                 min: Duration::micros(1),
@@ -558,7 +598,7 @@ mod tests {
             1,
         );
         assert!((0..200).all(|_| {
-            let r = always_dup.route(0, 1);
+            let r = send(&mut always_dup, 0, 1);
             r.delivery.is_some() && r.duplicate.is_some()
         }));
     }
@@ -575,7 +615,7 @@ mod tests {
         let run = |seed| {
             let mut net = NetworkState::new(model, seed);
             (0..100usize)
-                .map(|i| net.route(i % 4, (i + 1) % 4))
+                .map(|i| send(&mut net, i % 4, (i + 1) % 4))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(11), run(11));

@@ -3,20 +3,26 @@
 //!
 //! ## Layout
 //!
-//! * Pending events live in one `BinaryHeap<Event<M>>` keyed by
-//!   `(time, seq)`; [`Event`]'s reversed `Ord` makes the max-heap pop the
-//!   earliest event first, FIFO among equal timestamps.  A complete
-//!   reconfiguration keeps only about N events pending while it
-//!   dispatches O(N³) of them, so the O(log n) heap stays shallow.
+//! * Pending events live in two `BinaryHeap<Event<M>>`s keyed by
+//!   `(time, seq)`: `deliveries` holds start-up callbacks and messages,
+//!   `timers` holds timer firings.  [`Event`]'s reversed `Ord` makes each
+//!   max-heap pop its earliest event first, and the dispatcher takes the
+//!   earlier of the two heads by the same `Ord`.  `seq` is one global
+//!   counter, so the merged pop order is exactly that of a single heap:
+//!   ascending `(time, seq)`, FIFO among equal timestamps whatever their
+//!   kind.
+//! * Why two heaps: a reliable run arms one retransmission timer per
+//!   send, about a millisecond ahead, and nearly all of them fire stale.
+//!   In one heap those timers make every delivery sift through dozens of
+//!   pending entries (≈ 44 on `reliable_lossy` against ≈ 3 on column);
+//!   split off, the delivery heap stays as shallow as on a run without
+//!   timers, and each timer costs its own push and pop only.
 //! * Start-up callbacks are ordinary [`EventKind::Start`] events:
 //!   [`Simulator::add`] schedules one at the current simulated time, so
 //!   every start fires before any same-time message scheduled later.
 //! * Modules live in a **dense arena** `Vec<C>` where `C` is the concrete
 //!   block-code type: the hot loop monomorphizes (no `Box<dyn>` pointer
-//!   chase, no virtual dispatch) whenever the caller names `C`.  With the
-//!   `C` parameter left at its `Box<dyn BlockCode<M, W>>` default,
-//!   [`Simulator::add_module`] type-erases each module instead, so one
-//!   simulation can mix block-code types.
+//!   chase, no virtual dispatch).
 
 use crate::event::{Event, EventKind};
 use crate::fault::FaultPlan;
@@ -34,7 +40,10 @@ use std::time::Instant;
 /// that a module can be borrowed mutably while it manipulates the kernel.
 struct Kernel<M, W> {
     world: W,
-    queue: BinaryHeap<Event<M>>,
+    /// Pending [`EventKind::Start`] and [`EventKind::Message`] events.
+    deliveries: BinaryHeap<Event<M>>,
+    /// Pending [`EventKind::Timer`] events.
+    timers: BinaryHeap<Event<M>>,
     now: SimTime,
     seq: u64,
     network: NetworkState,
@@ -49,14 +58,39 @@ struct Kernel<M, W> {
 
 impl<M, W> Kernel<M, W> {
     fn schedule(&mut self, time: SimTime, kind: EventKind<M>) {
-        let event = Event {
+        let heap = match kind {
+            EventKind::Timer { .. } => &mut self.timers,
+            EventKind::Start { .. } | EventKind::Message { .. } => &mut self.deliveries,
+        };
+        heap.push(Event {
             time,
             seq: self.seq,
             kind,
-        };
+        });
         self.seq += 1;
-        self.queue.push(event);
-        self.stats.max_queue_len = self.stats.max_queue_len.max(self.queue.len());
+        self.stats.max_queue_len = self.stats.max_queue_len.max(self.pending());
+    }
+
+    fn pending(&self) -> usize {
+        self.deliveries.len() + self.timers.len()
+    }
+
+    /// The heap whose head fires next: the earlier head by `(time, seq)`
+    /// (the greater by [`Event`]'s reversed `Ord`).  A run without timers
+    /// pays one emptiness check.
+    fn next_heap(&mut self) -> &mut BinaryHeap<Event<M>> {
+        let timer_first = match self.timers.peek() {
+            None => false,
+            Some(timer) => self
+                .deliveries
+                .peek()
+                .is_none_or(|delivery| timer > delivery),
+        };
+        if timer_first {
+            &mut self.timers
+        } else {
+            &mut self.deliveries
+        }
     }
 }
 
@@ -132,25 +166,17 @@ impl<'a, M, W> Context<'a, M, W> {
 
 impl<'a, M: Clone, W> Context<'a, M, W> {
     /// Sends a message to another module through the simulator's network
-    /// model: the delivery delay comes from the per-link stream, and a
-    /// fault-injecting model may drop the message or schedule an
-    /// independent duplicate (hence the `Clone` bound).
+    /// model: the delivery delay comes from the kernel RNG on a
+    /// [`NetworkModel::Uniform`] network and from the per-link stream on
+    /// every other one, and a fault-injecting model may drop the message
+    /// or schedule an independent duplicate (hence the `Clone` bound).
     pub fn send(&mut self, to: ModuleId, payload: M) {
         self.kernel.stats.messages_sent += 1;
         let from = self.me;
-        // Fast path: a uniform network needs no per-link state — one
-        // sample from the kernel RNG (the historical hot path), no link
-        // map lookup and no lazily grown per-link RNG streams.  The
-        // latency model is copied out (it is small) rather than the whole
-        // network enum.
-        if let &NetworkModel::Uniform(latency) = self.kernel.network.model_ref() {
-            let delay = latency.sample(&mut self.kernel.rng);
-            let time = self.kernel.now + delay;
-            self.kernel
-                .schedule(time, EventKind::Message { from, to, payload });
-            return;
-        }
-        let route = self.kernel.network.route(from.index(), to.index());
+        let route = self
+            .kernel
+            .network
+            .route(from.index(), to.index(), &mut self.kernel.rng);
         match route.delivery {
             Some(delay) => {
                 if let Some(extra) = route.duplicate {
@@ -177,13 +203,10 @@ impl<'a, M: Clone, W> Context<'a, M, W> {
 /// The discrete-event simulator.
 ///
 /// `M` is the message type, `W` the user-defined shared world, and `C`
-/// the concrete block-code type stored in the dense module arena.  `C`
-/// defaults to the type-erased `Box<dyn BlockCode<M, W>>`, which keeps
-/// the historical heterogeneous API ([`Simulator::add_module`]) intact;
-/// naming a concrete `C` and registering through [`Simulator::add`]
-/// monomorphizes the dispatch loop (no heap indirection, no virtual
-/// calls) — the mode the Smart Blocks election runs in.
-pub struct Simulator<M, W, C = Box<dyn BlockCode<M, W>>> {
+/// the concrete block-code type stored in the dense module arena, so the
+/// dispatch loop monomorphizes (no heap indirection, no virtual calls).
+/// A simulation that mixes protocols names an enum over them as `C`.
+pub struct Simulator<M, W, C> {
     modules: Vec<C>,
     kernel: Kernel<M, W>,
 }
@@ -197,7 +220,8 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
             modules: Vec::new(),
             kernel: Kernel {
                 world,
-                queue: BinaryHeap::new(),
+                deliveries: BinaryHeap::new(),
+                timers: BinaryHeap::new(),
                 now: SimTime::ZERO,
                 seq: 0,
                 network: NetworkState::new(NetworkModel::default(), network_seed(0xD15C0)),
@@ -288,14 +312,14 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
 
     /// Whether no event (start-up callbacks included) is pending.
     pub fn is_idle(&self) -> bool {
-        self.kernel.queue.is_empty()
+        self.kernel.pending() == 0
     }
 
     /// Number of events still queued (events left behind by a stop
     /// request, or scheduled past a `run_until` deadline), including
     /// undispatched start-up callbacks.
     pub fn pending_events(&self) -> usize {
-        self.kernel.queue.len()
+        self.kernel.pending()
     }
 
     /// Whether a block code requested the simulation to stop.
@@ -312,7 +336,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
     /// Processes the next event.  Returns `false` when the queue is empty
     /// (nothing was processed).
     pub fn step(&mut self) -> bool {
-        let event = match self.kernel.queue.pop() {
+        let event = match self.kernel.next_heap().pop() {
             Some(e) => e,
             None => return false,
         };
@@ -376,7 +400,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         // sb-allow: wall-clock-in-sim — feeds only SimStats::wall_elapsed (host-side stdout reporting; excluded from sweep JSON)
         let start = Instant::now();
         while !self.kernel.stop_requested {
-            match self.kernel.queue.peek() {
+            match self.kernel.next_heap().peek() {
                 Some(event) if event.time <= deadline => {
                     self.step();
                 }
@@ -398,16 +422,6 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         }
         self.kernel.stats.wall_elapsed += start.elapsed();
         done
-    }
-}
-
-impl<M, W> Simulator<M, W> {
-    /// Registers a module behind the type-erased `Box<dyn BlockCode>`
-    /// arena (the heterogeneous escape hatch: modules of different
-    /// concrete types in one simulation) and schedules its start-up
-    /// callback at the current simulated time.
-    pub fn add_module(&mut self, code: impl BlockCode<M, W> + 'static) -> ModuleId {
-        self.add(Box::new(code))
     }
 }
 
@@ -555,34 +569,45 @@ mod tests {
         assert_eq!(stats.max_queue_len, 3);
     }
 
-    #[test]
-    fn events_at_equal_time_fire_in_fifo_order() {
-        struct Recorder;
-        impl BlockCode<u32, Vec<u32>> for Recorder {
-            fn on_message(
-                &mut self,
-                _from: ModuleId,
-                msg: u32,
-                ctx: &mut Context<'_, u32, Vec<u32>>,
-            ) {
-                ctx.world_mut().push(msg);
-            }
-        }
-        struct Sender {
+    /// A burst pair: a `Sender` fires payloads `0..10` at `target` from
+    /// its start-up callback, with an explicit delay or (`delay: None`)
+    /// through the network model; a `Recorder` logs every payload it
+    /// receives into the world.
+    enum Burst {
+        Recorder,
+        Sender {
             target: ModuleId,
-        }
-        impl BlockCode<u32, Vec<u32>> for Sender {
-            fn on_start(&mut self, ctx: &mut Context<'_, u32, Vec<u32>>) {
+            delay: Option<Duration>,
+        },
+    }
+
+    impl BlockCode<u32, Vec<u32>> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, Vec<u32>>) {
+            if let Burst::Sender { target, delay } = *self {
                 for i in 0..10 {
-                    // Same delivery time for every message.
-                    ctx.send_with_delay(self.target, i, Duration::micros(50));
+                    match delay {
+                        Some(delay) => ctx.send_with_delay(target, i, delay),
+                        None => ctx.send(target, i),
+                    }
                 }
             }
-            fn on_message(&mut self, _: ModuleId, _: u32, _: &mut Context<'_, u32, Vec<u32>>) {}
         }
-        let mut sim: Simulator<u32, Vec<u32>> = Simulator::new(Vec::new());
-        let recorder = sim.add_module(Recorder);
-        sim.add_module(Sender { target: recorder });
+        fn on_message(&mut self, _: ModuleId, msg: u32, ctx: &mut Context<'_, u32, Vec<u32>>) {
+            ctx.world_mut().push(msg);
+        }
+    }
+
+    fn burst(delay: Option<Duration>) -> Simulator<u32, Vec<u32>, Burst> {
+        let mut sim = Simulator::new(Vec::new());
+        let target = sim.add(Burst::Recorder);
+        sim.add(Burst::Sender { target, delay });
+        sim
+    }
+
+    #[test]
+    fn events_at_equal_time_fire_in_fifo_order() {
+        // Same delivery time for every message.
+        let mut sim = burst(Some(Duration::micros(50)));
         let stats = sim.run_until_idle();
         assert_eq!(sim.world().as_slice(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
         // The high-water mark is the ten simultaneous in-flight messages:
@@ -606,7 +631,7 @@ mod tests {
             }
         }
         let mut sim = Simulator::new(Vec::new());
-        sim.add_module(TimerCode);
+        sim.add(TimerCode);
         let stats = sim.run_until_idle();
         assert_eq!(sim.world().as_slice(), &[(3, 100), (7, 500)]);
         assert_eq!(stats.timers_set, 2);
@@ -658,41 +683,20 @@ mod tests {
 
     #[test]
     fn duplicating_network_delivers_extra_copies() {
-        // Recorder counts deliveries; with permille 1000 every send is
-        // delivered twice.
-        struct Recorder;
-        impl BlockCode<u32, u64> for Recorder {
-            fn on_message(&mut self, _: ModuleId, _: u32, ctx: &mut Context<'_, u32, u64>) {
-                *ctx.world_mut() += 1;
-            }
-        }
-        struct Sender {
-            target: ModuleId,
-        }
-        impl BlockCode<u32, u64> for Sender {
-            fn on_start(&mut self, ctx: &mut Context<'_, u32, u64>) {
-                for i in 0..10 {
-                    ctx.send(self.target, i);
-                }
-            }
-            fn on_message(&mut self, _: ModuleId, _: u32, _: &mut Context<'_, u32, u64>) {}
-        }
-        let mut sim: Simulator<u32, u64> = Simulator::new(0);
-        let recorder = sim.add_module(Recorder);
-        sim.add_module(Sender { target: recorder });
-        sim = sim.with_network(NetworkModel::Duplicating {
+        // With permille 1000 every send is delivered twice.
+        let mut sim = burst(None).with_network(NetworkModel::Duplicating {
             latency: LatencyModel::Fixed(Duration::micros(10)),
             dup_permille: 1000,
         });
         let stats = sim.run_until_idle();
         assert_eq!(stats.messages_sent, 10);
         assert_eq!(stats.messages_duplicated, 10);
-        assert_eq!(*sim.world(), 20, "every message arrived twice");
+        assert_eq!(sim.world().len(), 20, "every message arrived twice");
     }
 
     #[test]
     fn empty_simulator_is_idle() {
-        let mut sim: Simulator<(), ()> = Simulator::new(());
+        let mut sim: Simulator<u32, Vec<u32>, Burst> = Simulator::new(Vec::new());
         assert!(sim.is_idle());
         assert!(!sim.step());
         let stats = sim.run_until_idle();

@@ -28,7 +28,8 @@ pub struct SimStats {
     pub timers_dropped_dead: u64,
     /// Timers armed by block codes.
     pub timers_set: u64,
-    /// Largest number of events simultaneously pending in the queue.
+    /// Largest number of events simultaneously pending, deliveries and
+    /// timers together.
     pub max_queue_len: usize,
     /// Simulated time of the last processed event.
     pub sim_time_end: SimTime,

@@ -94,7 +94,7 @@ fn run_flood(
         .with_seed(sim_seed)
         .with_network(NetworkModel::Uniform(latency));
     for i in 0..n {
-        sim.add_module(FloodNode {
+        sim.add(FloodNode {
             seen: Vec::new(),
             initiator: i == 0,
         });
