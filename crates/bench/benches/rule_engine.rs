@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sb_bench::column_config;
+use sb_core::workloads::serpentine_instance;
 use sb_grid::ConnectivityOracle;
 use sb_motion::{MotionPlanner, PresenceMatrix, RuleCatalog};
 use sb_rules_xml::{parse_capabilities, write_capabilities};
@@ -86,6 +87,32 @@ fn bench_rule_engine(c: &mut Criterion) {
             }
             black_box(count)
         })
+    });
+
+    // The same question on the serpentine N = 128 instance, every block
+    // towards the output, on an oracle warmed by one untimed sweep: the
+    // cost per Eq. (9) question of the workload whose questions mostly
+    // miss the world's memo.
+    let serpentine = serpentine_instance(128, 0);
+    let serpentine_blocks: Vec<_> = serpentine.grid().blocks().map(|(_, p)| p).collect();
+    let serpentine_output = serpentine.output();
+    let mut serpentine_oracle = ConnectivityOracle::new();
+    let ask_every_block = |oracle: &mut ConnectivityOracle| {
+        let mut count = 0usize;
+        for &p in &serpentine_blocks {
+            count += usize::from(planner.any_motion_towards(
+                serpentine.grid(),
+                p,
+                serpentine_output,
+                |_| true,
+                oracle,
+            ));
+        }
+        count
+    };
+    ask_every_block(&mut serpentine_oracle);
+    group.bench_function("planner_any_motion_towards_serpentine_n128", |b| {
+        b.iter(|| black_box(ask_every_block(&mut serpentine_oracle)))
     });
 
     // XML capability file round-trip (Fig. 7 format, full catalogue).

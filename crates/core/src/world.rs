@@ -12,6 +12,7 @@ use crate::messages::Distance;
 use crate::metrics::Metrics;
 use sb_grid::graph::OrientedGraph;
 use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
+use sb_motion::planner::FRAME;
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog, RuleId};
 use std::fmt;
 
@@ -111,9 +112,9 @@ pub struct SurfaceWorld {
     /// construction (empty under free motion), so the election never
     /// allocates here.
     eq9_memo: Vec<Option<Eq9Memo>>,
-    /// Side of the square occupancy window that keys `eq9_memo`:
-    /// `2 · eq9_radius + 1`.
-    eq9_window: usize,
+    /// The bits of the planner's subject frame that key `eq9_memo`: the
+    /// centred `(2 · eq9_radius + 1)²` square.
+    eq9_key: u64,
 }
 
 /// One block's memoised Eq. (9) verdict and the neighbourhood it was
@@ -121,6 +122,7 @@ pub struct SurfaceWorld {
 #[derive(Clone, Copy, Debug)]
 struct Eq9Memo {
     pos: Pos,
+    /// The subject frame at `pos`, masked to the key.
     window: u64,
     verdict: bool,
 }
@@ -151,6 +153,16 @@ fn eq9_radius(catalog: &RuleCatalog) -> usize {
         .unwrap_or(0)
 }
 
+/// The bits of a [`FRAME`]×[`FRAME`] subject frame within Chebyshev
+/// `radius` of its centre (`radius` at most 3).
+fn frame_key(radius: usize) -> u64 {
+    let half = FRAME / 2;
+    let near = |i: usize| i.abs_diff(half) <= radius;
+    (0..FRAME * FRAME)
+        .filter(|&b| near(b / FRAME) && near(b % FRAME))
+        .fold(0, |key, b| key | 1 << b)
+}
+
 impl SurfaceWorld {
     /// Creates a world around a problem instance with the given rule
     /// catalogue and motion model.
@@ -159,14 +171,15 @@ impl SurfaceWorld {
     ///
     /// If the catalogue's Eq. (9) radius — the largest
     /// `|move.from| + size / 2 + 1` over its rules — needs a memo window
-    /// wider than the 7×7 that [`OccupancyGrid::window_mask`] can lift.
+    /// wider than the planner's 7×7 subject frame.
     pub fn new(config: SurfaceConfig, catalog: RuleCatalog, motion_model: MotionModel) -> Self {
         let path_complete = config.graph().occupied_shortest_path_exists(config.grid());
-        let eq9_window = 2 * eq9_radius(&catalog) + 1;
+        let radius = eq9_radius(&catalog);
+        let eq9_window = 2 * radius + 1;
         assert!(
-            eq9_window <= 8,
+            eq9_window <= FRAME,
             "the catalogue's Eq. 9 radius needs a {eq9_window}x{eq9_window} window; \
-             window masks hold at most 7x7 odd windows"
+             the planner's subject frame is {FRAME}x{FRAME}"
         );
         let memo_slots = match motion_model {
             MotionModel::RuleBased => config
@@ -191,7 +204,7 @@ impl SurfaceWorld {
             oracle: ConnectivityOracle::new(),
             path_complete,
             eq9_memo: vec![None; memo_slots],
-            eq9_window,
+            eq9_key: frame_key(radius),
         }
     }
 
@@ -384,20 +397,21 @@ impl SurfaceWorld {
         if slot >= self.eq9_memo.len() {
             return self.can_hop_towards_output(pos);
         }
-        // The window is lifted only when it can matter: to compare with an
-        // entry at the same position, or to store a local verdict.
-        if let Some(memo) = self.eq9_memo[slot].filter(|memo| memo.pos == pos) {
-            if memo.window == self.config.grid().window_mask(pos, self.eq9_window) {
-                self.metrics.rule_checks += 1;
-                self.metrics.eq9_memo_hits += 1;
-                return memo.verdict;
-            }
+        // The question's one window lift: the planner's subject frame.  Its
+        // key bits decide a hit, and a miss hands the whole frame to the
+        // planner, so hits and misses alike lift it exactly once.
+        let frame = self.config.grid().window_mask(pos, FRAME);
+        let window = frame & self.eq9_key;
+        if let Some(memo) = self.eq9_memo[slot].filter(|m| m.pos == pos && m.window == window) {
+            self.metrics.rule_checks += 1;
+            self.metrics.eq9_memo_hits += 1;
+            return memo.verdict;
         }
         let nonlocal = self.oracle.nonlocal_probes();
-        let verdict = self.can_hop_towards_output(pos);
-        self.eq9_memo[slot] = (self.oracle.nonlocal_probes() == nonlocal).then(|| Eq9Memo {
+        let verdict = self.rule_hop_exists(pos, frame);
+        self.eq9_memo[slot] = (self.oracle.nonlocal_probes() == nonlocal).then_some(Eq9Memo {
             pos,
-            window: self.config.grid().window_mask(pos, self.eq9_window),
+            window,
             verdict,
         });
         verdict
@@ -478,24 +492,32 @@ impl SurfaceWorld {
     fn can_hop_towards_output(&mut self, pos: Pos) -> bool {
         match self.motion_model {
             MotionModel::RuleBased => {
-                self.metrics.rule_checks += 1;
-                let input = self.config.input();
-                let output = self.config.output();
-                let graph = self.config.graph();
-                self.planner.any_motion_towards(
-                    self.config.grid(),
-                    pos,
-                    output,
-                    |moves| {
-                        moves
-                            .iter()
-                            .all(|&(from, _)| !locked_cell(from, input, output, &graph))
-                    },
-                    &mut self.oracle,
-                )
+                let frame = self.config.grid().window_mask(pos, FRAME);
+                self.rule_hop_exists(pos, frame)
             }
             MotionModel::FreeMotion => !self.free_motion_destinations(pos).is_empty(),
         }
+    }
+
+    /// The rule-based arm of [`SurfaceWorld::can_hop_towards_output`],
+    /// given the planner's subject frame lifted at `pos`.
+    fn rule_hop_exists(&mut self, pos: Pos, frame: u64) -> bool {
+        self.metrics.rule_checks += 1;
+        let input = self.config.input();
+        let output = self.config.output();
+        let graph = self.config.graph();
+        self.planner.any_motion_towards_in(
+            self.config.grid(),
+            pos,
+            frame,
+            output,
+            |moves| {
+                moves
+                    .iter()
+                    .all(|&(from, _)| !locked_cell(from, input, output, &graph))
+            },
+            &mut self.oracle,
+        )
     }
 
     // ----- motion execution ---------------------------------------------------
@@ -581,15 +603,8 @@ impl SurfaceWorld {
             }
         }
         // The mutations above advanced the grid's epoch, which the oracle
-        // keys on.  A complete path runs inside `G`, so only a motion that
-        // vacates or fills a cell of `G` can change whether one exists.
-        let graph = self.config.graph();
-        if moves
-            .iter()
-            .any(|&(from, to)| graph.contains(from) || graph.contains(to))
-        {
-            self.path_complete = graph.occupied_shortest_path_exists(self.config.grid());
-        }
+        // keys on.
+        self.recheck_path(&moves);
         self.metrics.elementary_moves += moves.len() as u64;
         self.metrics.elected_hops += 1;
         self.move_log.push(MoveRecord {
@@ -604,6 +619,19 @@ impl SurfaceWorld {
         HopResult {
             moved: true,
             reached_output: new_pos == self.output(),
+        }
+    }
+
+    /// Re-evaluates `path_complete` after `moves` were applied.  A
+    /// complete path runs inside `G`, so only a motion that vacates or
+    /// fills a cell of `G` can change whether one exists.
+    fn recheck_path(&mut self, moves: &[(Pos, Pos)]) {
+        let graph = self.config.graph();
+        if moves
+            .iter()
+            .any(|&(from, to)| graph.contains(from) || graph.contains(to))
+        {
+            self.path_complete = graph.occupied_shortest_path_exists(self.config.grid());
         }
     }
 
@@ -902,6 +930,76 @@ mod tests {
         w.hop_towards_output(free, 1);
         w.distance_to_output(free);
         assert_eq!(w.metrics().eq9_memo_hits, 1);
+    }
+
+    #[test]
+    fn vacating_a_path_cell_to_outside_g_is_rechecked() {
+        // G is the column x = 1 and the path up it is complete.  No
+        // elected hop can take a block out of G: every hop moves its
+        // blocks along the subject's step towards O, and a block pushed
+        // over G's far edge would come from a locked cell.  So this test
+        // applies such a move by hand and runs the re-check a hop runs.
+        let cfg = SurfaceConfig::from_ascii(
+            "# o .\n\
+             . # .\n\
+             # # .\n\
+             . I .",
+        )
+        .unwrap();
+        let mut w = SurfaceWorld::standard(cfg);
+        assert!(w.path_complete());
+        let moves = [(Pos::new(1, 2), Pos::new(0, 2))];
+        assert!(w.config.graph().contains(moves[0].0) && !w.config.graph().contains(moves[0].1));
+        w.config
+            .grid_mut()
+            .apply_simultaneous_moves(&moves)
+            .unwrap();
+        w.recheck_path(&moves);
+        let fresh = SurfaceWorld::standard(w.config().clone());
+        assert!(!fresh.path_complete());
+        assert_eq!(w.path_complete(), fresh.path_complete());
+    }
+
+    /// The memo hits of asking `block`'s distance once more.
+    fn hits_after_asking(w: &mut SurfaceWorld, block: BlockId) -> u64 {
+        w.distance_to_output(block);
+        w.metrics().eq9_memo_hits
+    }
+
+    #[test]
+    fn eq9_memo_key_spans_the_catalogue_radius_only() {
+        // The block at (3, 0) cannot move, and no probe decides that, so
+        // its verdict is stored.  A block then moves from distance 3 to
+        // distance 4 of it, and then to distance 2.
+        let ribbon = ". . . . . . . . O\n\
+                      . . . . . . . . .\n\
+                      . . . . . . . . .\n\
+                      . . . . . . . . .\n\
+                      . . . . . . # . .\n\
+                      I # # # # # # # .";
+        for (catalog, far_hit) in [
+            (RuleCatalog::sliding_only(), true),
+            (RuleCatalog::standard(), false),
+        ] {
+            let radius = eq9_radius(&catalog);
+            let cfg = SurfaceConfig::from_ascii(ribbon).unwrap();
+            let mut w = SurfaceWorld::new(cfg, catalog, MotionModel::RuleBased);
+            let block = w.grid().block_at(Pos::new(3, 0)).unwrap();
+            assert_eq!(hits_after_asking(&mut w, block), 0);
+            assert_eq!(hits_after_asking(&mut w, block), 1, "radius {radius}");
+            w.config
+                .grid_mut()
+                .move_block(Pos::new(6, 1), Pos::new(7, 1))
+                .unwrap();
+            // Radius 2 (a 5x5 key) keeps the hit; radius 3 evicts it.
+            let hits = hits_after_asking(&mut w, block);
+            assert_eq!(hits, 1 + u64::from(far_hit), "radius {radius}");
+            w.config
+                .grid_mut()
+                .move_block(Pos::new(7, 1), Pos::new(5, 1))
+                .unwrap();
+            assert_eq!(hits_after_asking(&mut w, block), hits, "radius {radius}");
+        }
     }
 
     #[test]

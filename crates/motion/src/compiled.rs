@@ -20,6 +20,13 @@
 //! [`crate::RuleCatalog`]; the catalogue also interns rule names to dense
 //! `u16` ids so the planner can order and deduplicate motions without
 //! touching a `String` or allocating per comparison.
+//!
+//! [`CompiledRule::applies_at`] is the reference matcher: it lifts the
+//! rule's own window at an anchor.  The election's hot path no longer
+//! calls it.  [`crate::MotionPlanner`] moves these masks once more, into a
+//! frame centred on the block a question is about, and answers each
+//! question from one frame lift (see [`crate::planner`]); the tests hold
+//! that path to a per-rule `applies_at` scan, probe for probe.
 
 use crate::event::EventCode;
 use crate::rule::MotionRule;

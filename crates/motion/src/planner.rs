@@ -13,11 +13,45 @@
 //! evaluation (rule windows only look at cells within the rule's radius);
 //! the simulation runtimes call it on behalf of a block, passing the
 //! block's position.
+//!
+//! ## One lift per question
+//!
+//! [`MotionPlanner::new`] compiles every `(rule, move)` pair of the
+//! catalogue, in catalogue order, into a candidate record relative to the
+//! *subject* cell (the block the question is about): the rule's
+//! `required_occupied` / `required_free` masks and its move destinations
+//! moved into the [`FRAME`]×[`FRAME`] window centred on the subject, and
+//! the subject's unit step as one of four direction bits.  A question
+//! lifts that frame off the bitboard once, with one on-surface mask, and
+//! tests each candidate with three word ops (step towards the target,
+//! mask match, destinations on the surface) instead of lifting a rule
+//! window per candidate.  Candidates that pass reach the oracle and the
+//! admission filter exactly as the per-rule
+//! [`CompiledRule::applies_at`] scan would send them: the same batches,
+//! in catalogue order.
 
 use crate::catalog::RuleCatalog;
 use crate::compiled::{CompiledRule, RuleId, MAX_MOVES_PER_RULE};
-use sb_grid::{ConnectivityOracle, OccupancyGrid, Pos};
+use sb_grid::{Bounds, ConnectivityOracle, OccupancyGrid, Pos};
 use std::fmt;
+
+/// Side of the occupancy frame a planner question lifts, centred on the
+/// subject cell with [`OccupancyGrid::window_mask`]'s layout (bit
+/// `row * FRAME + col`, row 0 northernmost, column 0 westernmost).
+pub const FRAME: usize = 7;
+
+/// Chebyshev radius of the frame around its centre.
+const FRAME_HALF: i32 = 3;
+
+/// The subject cell's bit in the frame.
+const FRAME_CENTRE: u64 = 1 << (FRAME * FRAME / 2);
+
+/// Direction bits of a subject step: east, west, north, south.
+const EAST: u8 = 1;
+const WEST: u8 = 2;
+const NORTH: u8 = 4;
+const SOUTH: u8 = 8;
+const ANY_STEP: u8 = EAST | WEST | NORTH | SOUTH;
 
 /// A concrete, applicable instantiation of a rule: the rule anchored at a
 /// world position, with the world moves it would perform and the identity
@@ -67,26 +101,185 @@ impl fmt::Display for PlannedMotion {
     }
 }
 
+/// One `(rule, move)` pair of the catalogue, compiled relative to the
+/// subject cell the move starts from.
+#[derive(Clone, Copy, Debug)]
+struct Candidate {
+    /// Frame bits the rule reads: `required_occupied | required_free`.
+    care: u64,
+    /// Frame bits that must be occupied: `required_occupied`.
+    occupied: u64,
+    /// Frame bits of every move destination; each must be on the surface.
+    dests: u64,
+    /// Direction bit of the subject's step.
+    step: u8,
+    /// Index of the rule in the catalogue's compiled list.
+    rule: usize,
+    /// Index of the subject move in the rule's move list.
+    subject: usize,
+}
+
+impl Candidate {
+    /// Compiles move `subject` of `compiled` (the catalogue's rule number
+    /// `rule`); panics when the rule's window, anchored so that this move
+    /// starts at the frame centre, does not fit the frame.
+    fn compile(compiled: &CompiledRule, rule: usize, subject: usize) -> Self {
+        let from = compiled.moves[subject].from;
+        let size = i32::try_from(compiled.size).expect("rule windows are at most 8 wide");
+        let half = size / 2;
+        assert!(
+            from.0.abs().max(from.1.abs()) + half <= FRAME_HALF,
+            "rule #{} moves a block {from:?} off the centre of its {size}x{size} window, \
+             which does not fit the planner's {FRAME}x{FRAME} subject frame",
+            compiled.id
+        );
+        // Rule window bit (r, c) is the cell (c - half, half - r) from the
+        // anchor, and the anchor sits at -from from the subject: window row
+        // r lands on frame row `top + r`, window column 0 on frame column
+        // `west`.
+        let top = usize::try_from(FRAME_HALF - half + from.1).expect("the window fits");
+        let west = usize::try_from(FRAME_HALF - half - from.0).expect("the window fits");
+        let side = compiled.size;
+        let rebase = |mask: u64| {
+            (0..side).fold(0u64, |frame, r| {
+                let row = mask >> (r * side) & ((1 << side) - 1);
+                frame | row << ((top + r) * FRAME + west)
+            })
+        };
+        let dests = compiled.moves.iter().fold(0u64, |frame, m| {
+            frame | frame_bit(m.to.0 - from.0, m.to.1 - from.1)
+        });
+        let to = compiled.moves[subject].to;
+        let step = match (to.0 - from.0, to.1 - from.1) {
+            (1, 0) => EAST,
+            (-1, 0) => WEST,
+            (0, 1) => NORTH,
+            (0, -1) => SOUTH,
+            other => panic!("rule #{} steps its block by {other:?}", compiled.id),
+        };
+        Candidate {
+            care: rebase(compiled.required_occupied | compiled.required_free),
+            occupied: rebase(compiled.required_occupied),
+            dests,
+            step,
+            rule,
+            subject,
+        }
+    }
+
+    /// Whether the rule applies with this move's block at the frame
+    /// centre: the masks match `frame`, and no destination falls in
+    /// `off_surface` (an off-surface cell reads as free in the frame).
+    #[inline]
+    fn matches(&self, frame: u64, off_surface: u64) -> bool {
+        frame & self.care == self.occupied && self.dests & off_surface == 0
+    }
+}
+
+/// The frame bit of the cell `(dx, dy)` from the centre, which must lie
+/// inside the frame.
+fn frame_bit(dx: i32, dy: i32) -> u64 {
+    let row = usize::try_from(FRAME_HALF - dy).expect("cell north of the frame");
+    let col = usize::try_from(FRAME_HALF + dx).expect("cell west of the frame");
+    assert!(row < FRAME && col < FRAME, "cell outside the frame");
+    1 << (row * FRAME + col)
+}
+
+/// The frame's first bit of each row.
+const ROW_STARTS: u64 = {
+    let mut bits = 0;
+    let mut row = 0;
+    while row < FRAME {
+        bits |= 1 << (row * FRAME);
+        row += 1;
+    }
+    bits
+};
+
+/// The frame bits of the cells off the surface, for the frame centred on
+/// `pos`.
+#[inline]
+fn off_surface(bounds: Bounds, pos: Pos) -> u64 {
+    // Bits `unit * lo .. unit * hi` of a word, `lo` and `hi` clamped to
+    // the frame's side.
+    let run = |lo: i64, hi: i64, unit: i64| -> u64 {
+        let side = FRAME as i64;
+        let (lo, hi) = (lo.clamp(0, side) * unit, hi.clamp(0, side) * unit);
+        ((1u64 << hi) - 1) & !((1u64 << lo) - 1)
+    };
+    // Column c is x = pos.x - 3 + c; row r is y = pos.y + 3 - r.
+    let west = i64::from(pos.x) - i64::from(FRAME_HALF);
+    let north = i64::from(pos.y) + i64::from(FRAME_HALF);
+    let cols = run(-west, i64::from(bounds.width) - west, 1);
+    let rows = run(
+        north - i64::from(bounds.height) + 1,
+        north + 1,
+        FRAME as i64,
+    );
+    // Repeat the on-surface column run on the first bit of every
+    // on-surface row: the runs are 7 bits wide, so nothing carries.
+    !(cols * (rows & ROW_STARTS))
+}
+
+/// The subject's step directions that end strictly closer to `target`.
+#[inline]
+fn towards(pos: Pos, target: Pos) -> u8 {
+    let mut dirs = 0;
+    if target.x > pos.x {
+        dirs |= EAST;
+    }
+    if target.x < pos.x {
+        dirs |= WEST;
+    }
+    if target.y > pos.y {
+        dirs |= NORTH;
+    }
+    if target.y < pos.y {
+        dirs |= SOUTH;
+    }
+    dirs
+}
+
 /// Planner over a rule catalogue.
 ///
-/// The planner holds nothing but its catalogue.  Applicability checks run
-/// against the catalogue's precompiled rule masks and the grid's
-/// occupancy bitboard; the Remark 1 filter probes the caller's
-/// [`ConnectivityOracle`], so one oracle (e.g. `sb-core`'s
-/// `SurfaceWorld`'s) serves every query against the same world state.
-/// World moves are materialised in a stack buffer: the Eq. (9) probe
-/// [`MotionPlanner::any_motion_towards`] short-circuits at the first
-/// admissible motion and performs **zero heap allocations after the
-/// oracle's warm-up**.
+/// The planner holds its catalogue and the catalogue's candidate table
+/// (see the module docs); neither changes after construction.  The
+/// Remark 1 filter probes the caller's [`ConnectivityOracle`], so one
+/// oracle (e.g. `sb-core`'s `SurfaceWorld`'s) serves every query against
+/// the same world state.  World moves are materialised in a stack
+/// buffer: the Eq. (9) probe [`MotionPlanner::any_motion_towards`]
+/// short-circuits at the first admissible motion and performs **zero
+/// heap allocations after the oracle's warm-up**.
 #[derive(Clone, Debug)]
 pub struct MotionPlanner {
     catalog: RuleCatalog,
+    candidates: Vec<Candidate>,
 }
 
 impl MotionPlanner {
-    /// Creates a planner over `catalog`.
+    /// Creates a planner over `catalog`, compiling its candidate table.
+    ///
+    /// # Panics
+    ///
+    /// If a rule's window, anchored so that one of its moves starts at
+    /// the window centre, does not fit the [`FRAME`]×[`FRAME`] subject
+    /// frame: `max(|from.x|, |from.y|) + size / 2 > 3` for some move.
+    /// `SurfaceWorld::new` (in `sb-core`) requires the stricter
+    /// `max(|from.x|, |from.y|) + size / 2 + 1 <= 3`, so every catalogue a
+    /// world runs fits.
     pub fn new(catalog: RuleCatalog) -> Self {
-        MotionPlanner { catalog }
+        let candidates = catalog
+            .compiled()
+            .iter()
+            .enumerate()
+            .flat_map(|(rule, compiled)| {
+                (0..compiled.moves.len()).map(move |m| Candidate::compile(compiled, rule, m))
+            })
+            .collect();
+        MotionPlanner {
+            catalog,
+            candidates,
+        }
     }
 
     /// Creates a planner with the standard catalogue.
@@ -99,14 +292,32 @@ impl MotionPlanner {
         &self.catalog
     }
 
+    /// The candidates whose step lies in `steps` and that apply to the
+    /// block at the centre of `frame` (lifted at `pos`), in catalogue
+    /// order, each with its rule.
+    fn applicable<'a>(
+        &'a self,
+        grid: &OccupancyGrid,
+        pos: Pos,
+        frame: u64,
+        steps: u8,
+    ) -> impl Iterator<Item = (&'a Candidate, &'a CompiledRule)> + 'a {
+        let off = off_surface(grid.bounds(), pos);
+        let compiled = self.catalog.compiled();
+        self.candidates
+            .iter()
+            .filter(move |c| c.step & steps != 0 && c.matches(frame, off))
+            .map(move |c| (c, &compiled[c.rule]))
+    }
+
     /// All connectivity-preserving motions in which the block at `pos` is
     /// one of the moving blocks.  Duplicate motions (identical move sets
     /// produced by different rules) are reported once.
     ///
-    /// Per candidate: compiled mask match, then deduplication, then the
-    /// `oracle` probe — a duplicate has the identical move set, so its
-    /// Remark 1 verdict is identical too and probing it again would only
-    /// burn a probe.
+    /// One frame lift, then per candidate in catalogue order: mask match,
+    /// then deduplication, then the `oracle` probe — a duplicate has the
+    /// identical move set, so its Remark 1 verdict is identical too and
+    /// probing it again would only burn a probe.
     pub fn motions_involving(
         &self,
         grid: &OccupancyGrid,
@@ -114,33 +325,29 @@ impl MotionPlanner {
         oracle: &mut ConnectivityOracle,
     ) -> Vec<PlannedMotion> {
         let mut out: Vec<PlannedMotion> = Vec::new();
-        if !grid.is_occupied(pos) {
+        let frame = grid.window_mask(pos, FRAME);
+        if frame & FRAME_CENTRE == 0 {
             return out;
         }
         let mut buf = [(pos, pos); MAX_MOVES_PER_RULE];
-        for compiled in self.catalog.compiled() {
-            for (idx, mv) in compiled.moves.iter().enumerate() {
-                let anchor = pos.offset(-mv.from.0, -mv.from.1);
-                if !compiled.applies_at(grid, anchor) {
-                    continue;
-                }
-                let moves = world_moves(compiled, anchor, &mut buf);
-                let (subject_from, subject_to) = moves[idx];
-                debug_assert_eq!(subject_from, pos);
-                let duplicate = out
-                    .iter()
-                    .any(|p| p.subject_to == subject_to && same_move_set(&p.moves, moves));
-                if duplicate || !oracle.preserves_connectivity(grid, moves) {
-                    continue;
-                }
-                out.push(PlannedMotion {
-                    rule_id: compiled.id,
-                    anchor,
-                    moves: moves.to_vec(),
-                    subject_from,
-                    subject_to,
-                });
+        for (candidate, compiled) in self.applicable(grid, pos, frame, ANY_STEP) {
+            let anchor = anchor_of(compiled, candidate, pos);
+            let moves = world_moves(compiled, anchor, &mut buf);
+            let (subject_from, subject_to) = moves[candidate.subject];
+            debug_assert_eq!(subject_from, pos);
+            let duplicate = out
+                .iter()
+                .any(|p| p.subject_to == subject_to && same_move_set(&p.moves, moves));
+            if duplicate || !oracle.preserves_connectivity(grid, moves) {
+                continue;
             }
+            out.push(PlannedMotion {
+                rule_id: compiled.id,
+                anchor,
+                moves: moves.to_vec(),
+                subject_from,
+                subject_to,
+            });
         }
         out
     }
@@ -220,43 +427,59 @@ impl MotionPlanner {
     /// would displace a locked path block) — the Eq. (9) feasibility
     /// test.
     ///
-    /// Per candidate, in this order: the subject's destination must be
-    /// closer (a geometric test run before any window lift), the compiled
-    /// mask must match, the `oracle` must admit the batch, then `admit`
-    /// must.  Stops at the first admissible motion; deduplication is
+    /// One [`FRAME`]×[`FRAME`] window lift per question, then per
+    /// candidate in catalogue order: the subject's step must end closer
+    /// to `target`, the masks must match, the `oracle` must admit the
+    /// batch, then `admit` must.  The oracle and `admit` see the same
+    /// batches, in the same order, as a scan of
+    /// [`CompiledRule::applies_at`] over every `(rule, move)` would send
+    /// them.  Stops at the first admissible motion; deduplication is
     /// skipped, as it cannot change emptiness.
     pub fn any_motion_towards(
         &self,
         grid: &OccupancyGrid,
         pos: Pos,
         target: Pos,
+        admit: impl FnMut(&[(Pos, Pos)]) -> bool,
+        oracle: &mut ConnectivityOracle,
+    ) -> bool {
+        let frame = grid.window_mask(pos, FRAME);
+        self.any_motion_towards_in(grid, pos, frame, target, admit, oracle)
+    }
+
+    /// [`MotionPlanner::any_motion_towards`] with the frame already
+    /// lifted: `frame` must be `grid.window_mask(pos, FRAME)`.  Lets a
+    /// caller that keys a cache on the frame lift it once per question.
+    pub fn any_motion_towards_in(
+        &self,
+        grid: &OccupancyGrid,
+        pos: Pos,
+        frame: u64,
+        target: Pos,
         mut admit: impl FnMut(&[(Pos, Pos)]) -> bool,
         oracle: &mut ConnectivityOracle,
     ) -> bool {
-        if !grid.is_occupied(pos) {
+        debug_assert_eq!(frame, grid.window_mask(pos, FRAME));
+        if frame & FRAME_CENTRE == 0 {
             return false;
         }
-        let from_d = pos.manhattan(target);
         let mut buf = [(pos, pos); MAX_MOVES_PER_RULE];
-        for compiled in self.catalog.compiled() {
-            for (idx, mv) in compiled.moves.iter().enumerate() {
-                let subject_to = pos.offset(mv.to.0 - mv.from.0, mv.to.1 - mv.from.1);
-                if subject_to.manhattan(target) >= from_d {
-                    continue;
-                }
-                let anchor = pos.offset(-mv.from.0, -mv.from.1);
-                if !compiled.applies_at(grid, anchor) {
-                    continue;
-                }
-                let moves = world_moves(compiled, anchor, &mut buf);
-                debug_assert_eq!(moves[idx].0, pos);
-                if oracle.preserves_connectivity(grid, moves) && admit(moves) {
-                    return true;
-                }
+        for (candidate, compiled) in self.applicable(grid, pos, frame, towards(pos, target)) {
+            let moves = world_moves(compiled, anchor_of(compiled, candidate, pos), &mut buf);
+            debug_assert_eq!(moves[candidate.subject].0, pos);
+            if oracle.preserves_connectivity(grid, moves) && admit(moves) {
+                return true;
             }
         }
         false
     }
+}
+
+/// The anchor at which `candidate`'s rule moves the block at `pos`.
+#[inline]
+fn anchor_of(compiled: &CompiledRule, candidate: &Candidate, pos: Pos) -> Pos {
+    let from = compiled.moves[candidate.subject].from;
+    pos.offset(-from.0, -from.1)
 }
 
 /// The world moves of `compiled` anchored at `anchor`, written into the
@@ -606,5 +829,27 @@ mod tests {
             without_carry.len() < with_carry.len(),
             "sliding-only should offer strictly fewer options"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "subject frame")]
+    fn a_rule_wider_than_the_frame_is_rejected() {
+        use crate::{ElementaryMove, MatrixCoord, MotionMatrix, MotionRule};
+        // A 7×7 rule sliding the block north of its centre east: the window,
+        // anchored with that block at the frame centre, reaches 1 + 3 = 4
+        // cells north of it.
+        let mut codes = [2u8; 49];
+        codes[2 * 7 + 3] = 4;
+        codes[2 * 7 + 4] = 3;
+        let rule = MotionRule::new(
+            "wide_east",
+            MotionMatrix::from_codes(7, &codes).unwrap(),
+            vec![ElementaryMove::new(
+                MatrixCoord::new(3, 2),
+                MatrixCoord::new(4, 2),
+            )],
+        )
+        .unwrap();
+        MotionPlanner::new(RuleCatalog::from_rules([rule]));
     }
 }
