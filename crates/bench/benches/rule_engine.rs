@@ -91,8 +91,8 @@ fn bench_rule_engine(c: &mut Criterion) {
 
     // The same question on the serpentine N = 128 instance, every block
     // towards the output, on an oracle warmed by one untimed sweep: the
-    // cost per Eq. (9) question of the workload whose questions mostly
-    // miss the world's memo.
+    // cost of an Eq. (9) question the world's memo misses, on the
+    // workload whose probes meet the most cut vertices.
     let serpentine = serpentine_instance(128, 0);
     let serpentine_blocks: Vec<_> = serpentine.grid().blocks().map(|(_, p)| p).collect();
     let serpentine_output = serpentine.output();

@@ -76,8 +76,7 @@ metrics_table! {
     /// eq9_memo_hits`.
     rule_checks => "rule-checks",
     /// Number of Eq. (9) questions served from the asking block's memo
-    /// entry: same position, same occupancy window, and a verdict that
-    /// rested on local oracle facts only
+    /// slot: a verdict no hop has evicted since it was stored
     /// (`SurfaceWorld::distance_to_output`).
     eq9_memo_hits => "eq9-memo-hits",
     /// Number of protocol messages that could not be handled by their

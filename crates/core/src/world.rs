@@ -10,8 +10,9 @@
 
 use crate::messages::Distance;
 use crate::metrics::Metrics;
+use sb_grid::articulation::net_effect;
 use sb_grid::graph::OrientedGraph;
-use sb_grid::{BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
+use sb_grid::{ring_certificate, BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
 use sb_motion::planner::FRAME;
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog, RuleId};
 use std::fmt;
@@ -106,37 +107,40 @@ pub struct SurfaceWorld {
     /// occupancy of `G` (the only cells a path can use), so the Root's
     /// ask after every election allocates nothing.
     path_complete: bool,
-    /// Each block's last Eq. (9) verdict if it was local (slot
-    /// `id.as_u32()`), keyed by the position and occupancy window it was
-    /// asked under; see [`SurfaceWorld::distance_to_output`].  Sized at
-    /// construction (empty under free motion), so the election never
-    /// allocates here.
+    /// Each block's last Eq. (9) verdict (slot `id.as_u32()`); see
+    /// [`SurfaceWorld::distance_to_output`].  Sized at construction
+    /// (empty under free motion), so the election never allocates here.
     eq9_memo: Vec<Option<Eq9Memo>>,
-    /// The bits of the planner's subject frame that key `eq9_memo`: the
-    /// centred `(2 · eq9_radius + 1)²` square.
-    eq9_key: u64,
+    /// The catalogue's [`eq9_radius`]: a hop empties the slots of the
+    /// blocks this close to the cells it moves.
+    eq9_radius: i32,
+    /// Advanced by every hop that is not one relocation certified at
+    /// both ends; a slot stored under an older generation is stale.
+    eq9_generation: u64,
 }
 
-/// One block's memoised Eq. (9) verdict and the neighbourhood it was
-/// decided on.
+/// One block's memoised Eq. (9) verdict and the memo generation it was
+/// stored in.
 #[derive(Clone, Copy, Debug)]
 struct Eq9Memo {
-    pos: Pos,
-    /// The subject frame at `pos`, masked to the key.
-    window: u64,
+    generation: u64,
     verdict: bool,
 }
 
-/// Chebyshev radius around a block that its Eq. (9) verdict can depend
-/// on: `max |move.from| + size / 2 + 1` over the catalogue's rules.
+/// Chebyshev radius around a block beyond which a hop cannot change the
+/// block's Eq. (9) verdict: `max |move.from| + size / 2 + 1` over the
+/// catalogue's rules.
 ///
 /// A candidate rule is anchored within `|move.from|` of the block, so its
-/// window, and every cell it moves, lies within `|move.from| + size / 2`.
-/// A local oracle verdict ([`ConnectivityOracle::nonlocal_probes`])
-/// reads the net vacated cell's 8-ring and the landing cell's
-/// 4-neighbours, one step further out.  The locking policy and the
-/// surface bounds are static.  So an unchanged `(2r + 1)²` window around
-/// an unmoved block leaves a local verdict unchanged.  The shipped 3×3
+/// window, and every cell its probe moves, lies within `r − 1 =
+/// |move.from| + size / 2`.  The locking policy and the surface bounds
+/// are static, so the verdict is a function of the occupancy.  A hop
+/// whose cells all lie farther than `r` from the block changes no cell
+/// the question reads, and the 8-rings of its net vacated and filled
+/// cells miss every cell a probe moves.  If the hop is one relocation
+/// certified at both ends by [`ring_certificate`], every probe's
+/// connectivity verdict is therefore unchanged (the "certified
+/// relocations" section of [`sb_grid::articulation`]).  The shipped 3×3
 /// catalogues give 3 when they carry (a carrying move starts one cell off
 /// the centre) and 2 for `RuleCatalog::sliding_only`.
 fn eq9_radius(catalog: &RuleCatalog) -> usize {
@@ -153,16 +157,6 @@ fn eq9_radius(catalog: &RuleCatalog) -> usize {
         .unwrap_or(0)
 }
 
-/// The bits of a [`FRAME`]×[`FRAME`] subject frame within Chebyshev
-/// `radius` of its centre (`radius` at most 3).
-fn frame_key(radius: usize) -> u64 {
-    let half = FRAME / 2;
-    let near = |i: usize| i.abs_diff(half) <= radius;
-    (0..FRAME * FRAME)
-        .filter(|&b| near(b / FRAME) && near(b % FRAME))
-        .fold(0, |key, b| key | 1 << b)
-}
-
 impl SurfaceWorld {
     /// Creates a world around a problem instance with the given rule
     /// catalogue and motion model.
@@ -170,8 +164,8 @@ impl SurfaceWorld {
     /// # Panics
     ///
     /// If the catalogue's Eq. (9) radius — the largest
-    /// `|move.from| + size / 2 + 1` over its rules — needs a memo window
-    /// wider than the planner's 7×7 subject frame.
+    /// `|move.from| + size / 2 + 1` over its rules — spans a window wider
+    /// than the planner's 7×7 subject frame.
     pub fn new(config: SurfaceConfig, catalog: RuleCatalog, motion_model: MotionModel) -> Self {
         let path_complete = config.graph().occupied_shortest_path_exists(config.grid());
         let radius = eq9_radius(&catalog);
@@ -204,7 +198,8 @@ impl SurfaceWorld {
             oracle: ConnectivityOracle::new(),
             path_complete,
             eq9_memo: vec![None; memo_slots],
-            eq9_key: frame_key(radius),
+            eq9_radius: i32::try_from(radius).expect("asserted to fit the frame"),
+            eq9_generation: 0,
         }
     }
 
@@ -360,16 +355,18 @@ impl SurfaceWorld {
     /// Every call counts one distance computation (Remark 2) and every
     /// Eq. (9) question one rule check, however it is answered.  Under
     /// the rule-based model the Eq. (9) verdict is served from the
-    /// block's memo entry when the block sits at the same position under
-    /// the same `(2r + 1)²` occupancy window as when the entry was stored
-    /// (`r` is the catalogue's largest `|move.from| + size / 2 + 1`, 3
-    /// for the standard rules); such a hit counts in `eq9_memo_hits` and
-    /// asks neither the planner nor the oracle.  A miss asks the planner
-    /// and stores the verdict only when every oracle probe behind it was
-    /// local ([`ConnectivityOracle::nonlocal_probes`] unchanged), so a
-    /// memoised verdict is a function of the block's position and window
-    /// (the ensemble's connectivity, the one global fact a local probe
-    /// assumes, survives every admitted hop).
+    /// block's memo slot when the slot was stored in the current memo
+    /// generation; such a hit counts in `eq9_memo_hits`, lifts no window
+    /// and asks neither the planner nor the oracle.  A miss asks the
+    /// planner and stores its verdict.  The verdict is a function of the
+    /// occupancy, and [`SurfaceWorld::hop_towards_output`], the world's
+    /// only occupancy change, keeps every stored one true.  It empties
+    /// the slot of every block within the catalogue's Eq. (9) radius `r`
+    /// of the cells it moves (`r` is the largest
+    /// `|move.from| + size / 2 + 1`, 3 for the standard rules).  It also
+    /// starts a new generation unless its net effect is one relocation
+    /// that [`ring_certificate`] certifies at both ends, which changes no
+    /// verdict farther away.
     pub fn distance_to_output(&mut self, block: BlockId) -> Distance {
         self.metrics.distance_computations += 1;
         let pos = match self.position_of(block) {
@@ -397,21 +394,15 @@ impl SurfaceWorld {
         if slot >= self.eq9_memo.len() {
             return self.can_hop_towards_output(pos);
         }
-        // The question's one window lift: the planner's subject frame.  Its
-        // key bits decide a hit, and a miss hands the whole frame to the
-        // planner, so hits and misses alike lift it exactly once.
-        let frame = self.config.grid().window_mask(pos, FRAME);
-        let window = frame & self.eq9_key;
-        if let Some(memo) = self.eq9_memo[slot].filter(|m| m.pos == pos && m.window == window) {
+        let generation = self.eq9_generation;
+        if let Some(memo) = self.eq9_memo[slot].filter(|m| m.generation == generation) {
             self.metrics.rule_checks += 1;
             self.metrics.eq9_memo_hits += 1;
             return memo.verdict;
         }
-        let nonlocal = self.oracle.nonlocal_probes();
-        let verdict = self.rule_hop_exists(pos, frame);
-        self.eq9_memo[slot] = (self.oracle.nonlocal_probes() == nonlocal).then_some(Eq9Memo {
-            pos,
-            window,
+        let verdict = self.can_hop_towards_output(pos);
+        self.eq9_memo[slot] = Some(Eq9Memo {
+            generation,
             verdict,
         });
         verdict
@@ -492,32 +483,24 @@ impl SurfaceWorld {
     fn can_hop_towards_output(&mut self, pos: Pos) -> bool {
         match self.motion_model {
             MotionModel::RuleBased => {
-                let frame = self.config.grid().window_mask(pos, FRAME);
-                self.rule_hop_exists(pos, frame)
+                self.metrics.rule_checks += 1;
+                let input = self.config.input();
+                let output = self.config.output();
+                let graph = self.config.graph();
+                self.planner.any_motion_towards(
+                    self.config.grid(),
+                    pos,
+                    output,
+                    |moves| {
+                        moves
+                            .iter()
+                            .all(|&(from, _)| !locked_cell(from, input, output, &graph))
+                    },
+                    &mut self.oracle,
+                )
             }
             MotionModel::FreeMotion => !self.free_motion_destinations(pos).is_empty(),
         }
-    }
-
-    /// The rule-based arm of [`SurfaceWorld::can_hop_towards_output`],
-    /// given the planner's subject frame lifted at `pos`.
-    fn rule_hop_exists(&mut self, pos: Pos, frame: u64) -> bool {
-        self.metrics.rule_checks += 1;
-        let input = self.config.input();
-        let output = self.config.output();
-        let graph = self.config.graph();
-        self.planner.any_motion_towards_in(
-            self.config.grid(),
-            pos,
-            frame,
-            output,
-            |moves| {
-                moves
-                    .iter()
-                    .all(|&(from, _)| !locked_cell(from, input, output, &graph))
-            },
-            &mut self.oracle,
-        )
     }
 
     // ----- motion execution ---------------------------------------------------
@@ -588,10 +571,12 @@ impl SurfaceWorld {
             .collect();
         match self.motion_model {
             MotionModel::RuleBased => {
+                let certified = certified_relocation(self.config.grid(), &moves);
                 self.config
                     .grid_mut()
                     .apply_simultaneous_moves(&moves)
                     .expect("planned motion must be executable");
+                self.forget_eq9_verdicts(&moves, certified);
             }
             MotionModel::FreeMotion => {
                 for &(from, to) in &moves {
@@ -619,6 +604,31 @@ impl SurfaceWorld {
         HopResult {
             moved: true,
             reached_output: new_pos == self.output(),
+        }
+    }
+
+    /// Keeps the Eq. (9) memo true after a hop applied `moves` (see
+    /// [`SurfaceWorld::distance_to_output`]): starts a new generation
+    /// unless the hop was one relocation certified at both ends, and
+    /// otherwise empties the slot of every block within [`eq9_radius`]
+    /// of the moved cells' bounding box.
+    fn forget_eq9_verdicts(&mut self, moves: &[(Pos, Pos)], certified: bool) {
+        if !certified {
+            self.eq9_generation += 1;
+            return;
+        }
+        let (mut lo, mut hi) = (moves[0].0, moves[0].0);
+        for p in moves.iter().flat_map(|&(from, to)| [from, to]) {
+            lo = Pos::new(lo.x.min(p.x), lo.y.min(p.y));
+            hi = Pos::new(hi.x.max(p.x), hi.y.max(p.y));
+        }
+        let r = self.eq9_radius;
+        for y in lo.y - r..=hi.y + r {
+            for x in lo.x - r..=hi.x + r {
+                if let Some(id) = self.config.grid().block_at(Pos::new(x, y)) {
+                    self.eq9_memo[id.as_u32() as usize] = None;
+                }
+            }
         }
     }
 
@@ -728,6 +738,21 @@ fn locked_cell(pos: Pos, input: Pos, output: Pos, graph: &OrientedGraph) -> bool
         return true;
     }
     (pos.x == output.x || pos.y == output.y) && graph.contains(pos)
+}
+
+/// Whether the net effect of the simultaneous `moves` on `grid` is one
+/// relocation `f → t` with [`ring_certificate`] holding for `f` on the
+/// board before it and for `t` on the board after it: a relocation that
+/// merges and splits nothing.
+fn certified_relocation(grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
+    let (mut vacated, mut filled) = net_effect(moves);
+    match (vacated.next(), filled.next(), vacated.next(), filled.next()) {
+        (Some(f), Some(t), None, None) => {
+            ring_certificate(&|p: Pos| grid.is_occupied(p), f)
+                && ring_certificate(&|p: Pos| p == t || (p != f && grid.is_occupied(p)), t)
+        }
+        _ => false,
+    }
 }
 
 impl fmt::Debug for SurfaceWorld {
@@ -968,38 +993,74 @@ mod tests {
 
     #[test]
     fn eq9_memo_key_spans_the_catalogue_radius_only() {
-        // The block at (3, 0) cannot move, and no probe decides that, so
-        // its verdict is stored.  A block then moves from distance 3 to
-        // distance 4 of it, and then to distance 2.
-        let ribbon = ". . . . . . . . O\n\
-                      . . . . . . . . .\n\
-                      . . . . . . . . .\n\
-                      . . . . . . . . .\n\
-                      . . . . . . # . .\n\
-                      I # # # # # # # .";
-        for (catalog, far_hit) in [
-            (RuleCatalog::sliding_only(), true),
-            (RuleCatalog::standard(), false),
+        // The block at (3, 0) stores its verdict.  A mover on top of the
+        // row then slides east, one certified hop at a time, so the
+        // nearest cell each hop moves is 2, 3 and then 4 cells from it.
+        // Only a hop within the radius (2 for sliding_only, 3 for
+        // standard) evicts the verdict.
+        let ribbon = ". . . . . . . . . . O\n\
+                      . . . . . . . . . . .\n\
+                      . . . . . . . . . . .\n\
+                      . . . . . . . . . . .\n\
+                      . . . . . # . . . . .\n\
+                      I # # # # # # # # # .";
+        let subject = Pos::new(3, 0);
+        for (catalog, kept) in [
+            (RuleCatalog::sliding_only(), [false, true, true]),
+            (RuleCatalog::standard(), [false, false, true]),
         ] {
-            let radius = eq9_radius(&catalog);
             let cfg = SurfaceConfig::from_ascii(ribbon).unwrap();
             let mut w = SurfaceWorld::new(cfg, catalog, MotionModel::RuleBased);
-            let block = w.grid().block_at(Pos::new(3, 0)).unwrap();
+            let block = w.grid().block_at(subject).unwrap();
+            let mover = w.grid().block_at(Pos::new(5, 1)).unwrap();
             assert_eq!(hits_after_asking(&mut w, block), 0);
-            assert_eq!(hits_after_asking(&mut w, block), 1, "radius {radius}");
-            w.config
-                .grid_mut()
-                .move_block(Pos::new(6, 1), Pos::new(7, 1))
-                .unwrap();
-            // Radius 2 (a 5x5 key) keeps the hit; radius 3 evicts it.
-            let hits = hits_after_asking(&mut w, block);
-            assert_eq!(hits, 1 + u64::from(far_hit), "radius {radius}");
-            w.config
-                .grid_mut()
-                .move_block(Pos::new(7, 1), Pos::new(5, 1))
-                .unwrap();
-            assert_eq!(hits_after_asking(&mut w, block), hits, "radius {radius}");
+            let mut hits = hits_after_asking(&mut w, block);
+            assert_eq!(hits, 1);
+            for (x, kept) in (5..).zip(kept) {
+                let (from, to) = (Pos::new(x, 1), Pos::new(x + 1, 1));
+                assert!(w.hop_towards_output(mover, 1).moved);
+                assert_eq!(w.move_log().last().unwrap().moves, [(mover, from, to)]);
+                let nearest = subject.chebyshev(from);
+                let now = hits_after_asking(&mut w, block);
+                let r = w.eq9_radius;
+                assert_eq!(now, hits + u64::from(kept), "r = {r}, hop at {nearest}");
+                hits = now;
+            }
+            assert_eq!(w.eq9_generation, 0, "every hop was certified");
         }
+    }
+
+    #[test]
+    fn an_uncertified_hop_starts_a_new_memo_generation() {
+        // The block at (2, 1) holds up the bar above it: it is a cut
+        // vertex, so it cannot slide east and its distance is infinite.
+        // The mover at (9, 1), seven cells away, then slides into the
+        // gap under the bar's far end.  That landing closes a loop, which
+        // its ring cannot certify, and the loop makes (2, 1) free to go.
+        let cfg = SurfaceConfig::from_ascii(
+            ". . . . . . . . . . . . . O\n\
+             . . . . . . . . . . . . . .\n\
+             . . . . . . . . . . . . . .\n\
+             . . # # # # # # # # # . . .\n\
+             . . # . . . . . . . # . . .\n\
+             . . # . . . . . . # . . . .\n\
+             I # # # # # # # # # # # # .",
+        )
+        .unwrap();
+        let mut w = SurfaceWorld::standard(cfg);
+        let block = w.grid().block_at(Pos::new(2, 1)).unwrap();
+        let mover = w.grid().block_at(Pos::new(9, 1)).unwrap();
+        assert!(w.distance_to_output(block).is_infinite());
+        assert_eq!(hits_after_asking(&mut w, block), 1);
+        assert!(w.hop_towards_output(mover, 1).moved);
+        let record = &w.move_log()[0].moves;
+        assert_eq!(record, &[(mover, Pos::new(9, 1), Pos::new(10, 1))]);
+        assert_eq!(w.eq9_generation, 1, "the landing closed a loop");
+        let mut fresh = SurfaceWorld::standard(w.config().clone());
+        let expected = fresh.distance_to_output(block);
+        assert!(!expected.is_infinite());
+        assert_eq!(w.distance_to_output(block), expected);
+        assert_eq!(w.metrics().eq9_memo_hits, 1);
     }
 
     #[test]

@@ -117,6 +117,20 @@
 //! *not* attempted: the edit log absorbs those deltas as overlay entries
 //! and lets the rare hazard-triggered rebuild pay once instead.
 //!
+//! ## Certified relocations
+//!
+//! A relocation `f → t` whose vacate holds [`ring_certificate`] on the
+//! board before it, and whose landing holds it on the board after it,
+//! merges and splits nothing: removing `f` keeps the component count, and
+//! so does adding `t`.  Each certificate reads only the 8-ring around its
+//! cell, so both keep holding when cells outside the closed 3×3 squares
+//! around `f` and `t` change.  Any hypothetical batch that changes
+//! occupancy only outside those squares — a Remark 1 probe elsewhere on
+//! the surface — therefore gets the same connectivity verdict before and
+//! after the relocation.  The edit log above rests on this argument, and
+//! so does `sb-core`'s Eq. 9 verdict memo, which keeps the verdicts of
+//! blocks far from a certified hop.
+//!
 //! All buffers are retained across rebuilds, so after one warm-up rebuild
 //! per grid size the oracle performs **no heap allocation** (asserted by
 //! `crates/motion/tests/alloc_free.rs`).
@@ -215,7 +229,6 @@ pub struct ConnectivityOracle {
     incremental_updates: u64,
     fast_probes: u64,
     fallback_probes: u64,
-    nonlocal_probes: u64,
 }
 
 impl ConnectivityOracle {
@@ -236,21 +249,8 @@ impl ConnectivityOracle {
     /// state, everything else falls back to the scratch BFS (see the
     /// module docs for the exact contract).
     pub fn preserves_connectivity(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> bool {
-        let (connected, local) = self.verdict(grid, moves);
-        if !local {
-            self.nonlocal_probes += 1;
-        }
-        connected
-    }
-
-    /// The verdict of [`ConnectivityOracle::preserves_connectivity`] and
-    /// whether it is *local*: decided by the ring certificate of the net
-    /// vacated cell plus the landing cell's neighbours on a connected
-    /// ensemble, so it reads nothing beyond the vacated cell's 8-ring and
-    /// the landing cell's 4-neighbourhood.
-    fn verdict(&mut self, grid: &OccupancyGrid, moves: &[(Pos, Pos)]) -> (bool, bool) {
         if grid.block_count() <= 1 {
-            return (true, false);
+            return true;
         }
         self.ensure_light(grid);
         // Net-effect reduction.  The post-move board is
@@ -261,17 +261,10 @@ impl ConnectivityOracle {
         // of moves — anything wider skips straight to the BFS.
         const MAX_NET: usize = 8;
         if moves.len() <= MAX_NET {
-            let mut vacated = moves
-                .iter()
-                .map(|&(s, _)| s)
-                .filter(|&s| moves.iter().all(|&(_, d)| d != s));
-            let mut filled = moves
-                .iter()
-                .map(|&(_, d)| d)
-                .filter(|&d| moves.iter().all(|&(s, _)| s != d));
+            let (mut vacated, mut filled) = net_effect(moves);
             let verdict = match (vacated.next(), filled.next()) {
                 // The net-empty batch leaves the board as it stands.
-                (None, None) => Some((self.components <= 1, false)),
+                (None, None) => Some(self.components <= 1),
                 // One net cell out, one in: exactly the single-move
                 // shape, whether or not the two are adjacent.  The
                 // forest-free fast path (pendant mover or local bypass
@@ -283,13 +276,10 @@ impl ConnectivityOracle {
                         && vacated.next().is_none()
                         && filled.next().is_none() =>
                 {
-                    if let Some(fast) = self.single_move_fast(grid, f, t) {
-                        Some(fast)
-                    } else {
+                    self.single_move_fast(grid, f, t).or_else(|| {
                         self.ensure_forest_for(grid, f, t);
                         self.single_move_verdict(grid, f, t)
-                            .map(|connected| (connected, false))
-                    }
+                    })
                 }
                 _ => None,
             };
@@ -299,10 +289,7 @@ impl ConnectivityOracle {
             }
         }
         self.fallback_probes += 1;
-        (
-            connectivity::is_connected_after(grid, moves, &mut self.bfs),
-            false,
-        )
+        connectivity::is_connected_after(grid, moves, &mut self.bfs)
     }
 
     /// Whether the block at `pos` is an articulation point of the current
@@ -354,19 +341,6 @@ impl ConnectivityOracle {
     /// Probes that fell back to the scratch BFS.
     pub fn fallback_probes(&self) -> u64 {
         self.fallback_probes
-    }
-
-    /// Probes whose verdict used non-local state: the pendant-mover
-    /// invariant, the DFS forest, the net-empty component count, the BFS
-    /// or the lone-block shortcut.  Every other probe was decided by the ring certificate of its
-    /// net vacated cell plus a landing-neighbour check on a connected
-    /// ensemble, both functions of the cells within one step of the
-    /// batch.  A caller that sees this counter unchanged across a query
-    /// may therefore reuse the query's answer for as long as the
-    /// neighbourhood it read is unchanged (connectivity, once reached,
-    /// survives every admitted move).
-    pub fn nonlocal_probes(&self) -> u64 {
-        self.nonlocal_probes
     }
 
     #[inline]
@@ -798,19 +772,14 @@ impl ConnectivityOracle {
     /// connected ensemble: the pendant-mover invariant or the ring
     /// certificate proves `occupancy \ {f}` connected, after which the
     /// move preserves connectivity iff `t` touches a block other than the
-    /// mover.  Returns `(connected, local)`, `local` when the ring
-    /// certificate holds (the pendant-mover invariant is consulted only
-    /// when it does not); `None` when neither applies (the forest
-    /// decides).
-    fn single_move_fast(&self, grid: &OccupancyGrid, f: Pos, t: Pos) -> Option<(bool, bool)> {
-        let local = ring_certificate(&|p: Pos| grid.is_occupied(p), f);
-        let removable = local || (self.sat == Some(f) && self.sat_removable);
+    /// mover.  `None` when neither applies (the forest decides).
+    fn single_move_fast(&self, grid: &OccupancyGrid, f: Pos, t: Pos) -> Option<bool> {
+        let removable = (self.sat == Some(f) && self.sat_removable)
+            || ring_certificate(&|p: Pos| grid.is_occupied(p), f);
         removable.then(|| {
-            let attached = t
-                .neighbors4()
+            t.neighbors4()
                 .iter()
-                .any(|&q| q != f && grid.is_occupied(q));
-            (attached, local)
+                .any(|&q| q != f && grid.is_occupied(q))
         })
     }
 
@@ -1108,6 +1077,28 @@ impl ConnectivityOracle {
     }
 }
 
+/// The net effect of a batch of simultaneous `moves`: the cells it
+/// vacates and never refills, and the cells it fills that it did not
+/// vacate, each in batch order.  Only these change occupancy; a cell both
+/// vacated and refilled (the hand-over cell of a carrying chain) cancels.
+#[inline]
+pub fn net_effect(
+    moves: &[(Pos, Pos)],
+) -> (
+    impl Iterator<Item = Pos> + '_,
+    impl Iterator<Item = Pos> + '_,
+) {
+    let vacated = moves
+        .iter()
+        .map(|&(s, _)| s)
+        .filter(|&s| moves.iter().all(|&(_, d)| d != s));
+    let filled = moves
+        .iter()
+        .map(|&(_, d)| d)
+        .filter(|&d| moves.iter().all(|&(s, _)| s != d));
+    (vacated, filled)
+}
+
 /// The only occupied lateral neighbour of `p`, or `None` when it has none
 /// or several.
 fn sole_neighbour(occupied: &impl Fn(Pos) -> bool, p: Pos) -> Option<Pos> {
@@ -1116,8 +1107,9 @@ fn sole_neighbour(occupied: &impl Fn(Pos) -> bool, p: Pos) -> Option<Pos> {
     occupied_neighbours.next().is_none().then_some(first)
 }
 
-/// The **ring certificate**: proves `occupancy \ {f}` keeps the component
-/// structure of `occupancy`, using only the eight cells surrounding `f`.
+/// The **ring certificate**: proves that removing the occupied cell `f`
+/// from the occupancy `occupied` merges and splits no component of the
+/// other cells, reading only the eight cells surrounding `f`.
 ///
 /// The eight surrounding cells form a cycle in the grid graph (each is
 /// laterally adjacent to exactly its two circular neighbours), and every
@@ -1125,10 +1117,16 @@ fn sole_neighbour(occupied: &impl Fn(Pos) -> bool, p: Pos) -> Option<Pos> {
 /// cells.  If all occupied cardinal neighbours of `f` lie in one arc of
 /// consecutive *occupied* ring cells, any such path reroutes around `f`
 /// inside the ring, so removing `f` merges or splits nothing — in
-/// particular a connected ensemble stays connected.  The check is sound
-/// but not complete (a far-away bypass is invisible to it); a `false`
-/// only means "the ring alone cannot tell".
-fn ring_certificate(occupied: &impl Fn(Pos) -> bool, f: Pos) -> bool {
+/// particular a connected ensemble stays connected.  Read backwards, the
+/// same certificate on the board *after* `f` is filled proves that
+/// adding `f` merged nothing.  A pendant `f` (one occupied cardinal)
+/// certifies; an isolated one does not.  The check is sound but not
+/// complete (a far-away bypass is invisible to it); a `false` only means
+/// "the ring alone cannot tell".
+///
+/// `sb-core`'s Eq. 9 memo uses it to prove that a hop far from a block
+/// leaves the block's verdict unchanged (see the module docs).
+pub fn ring_certificate(occupied: &impl Fn(Pos) -> bool, f: Pos) -> bool {
     // Circular order; cardinal neighbours at even indices.
     const RING: [(i32, i32); 8] = [
         (1, 0),
@@ -1249,21 +1247,36 @@ mod tests {
     }
 
     #[test]
-    fn nonlocal_probes_count_verdicts_beyond_the_ring_certificate() {
-        let g = grid_from(&[(0, 0), (1, 0), (2, 0)]);
-        let mut oracle = ConnectivityOracle::new();
-        // An end block's ring certifies its removal, and the landing
-        // check decides: a local verdict.
-        assert!(!oracle.preserves_connectivity(&g, &[(Pos::new(2, 0), Pos::new(3, 0))]));
-        assert!(oracle.preserves_connectivity(&g, &[(Pos::new(2, 0), Pos::new(1, 1))]));
-        assert_eq!(oracle.nonlocal_probes(), 0);
-        // The middle block is a cut vertex: the DFS forest decides.
-        assert!(!oracle.preserves_connectivity(&g, &[(Pos::new(1, 0), Pos::new(1, 1))]));
-        assert_eq!(oracle.nonlocal_probes(), 1);
-        // So does the BFS of a disconnected ensemble.
-        let split = grid_from(&[(0, 0), (2, 0), (3, 0)]);
-        assert!(!oracle.preserves_connectivity(&split, &[(Pos::new(3, 0), Pos::new(3, 1))]));
-        assert_eq!(oracle.nonlocal_probes(), 2);
+    fn ring_certificate_keeps_the_component_count() {
+        // Soundness of the certificate on random, mostly disconnected
+        // boards: wherever it holds, removing the cell keeps the number
+        // of components of the rest (and, read backwards, adding it
+        // merged nothing).
+        let mut rng = SmallRng::seed_from_u64(29);
+        let mut certified = 0;
+        for _ in 0..300 {
+            let mut g = OccupancyGrid::new(Bounds::new(6, 6));
+            for (id, p) in (1..).zip(Bounds::new(6, 6).iter()) {
+                if rng.gen_bool(0.55) {
+                    g.place(BlockId(id), p).unwrap();
+                }
+            }
+            let components = ConnectivityOracle::new().component_count(&g);
+            for f in g.occupied_positions_sorted() {
+                if !ring_certificate(&|p: Pos| g.is_occupied(p), f) {
+                    continue;
+                }
+                certified += 1;
+                let mut without = g.clone();
+                without.remove_at(f).unwrap();
+                assert_eq!(
+                    ConnectivityOracle::new().component_count(&without),
+                    components,
+                    "removing certified {f}"
+                );
+            }
+        }
+        assert!(certified > 1000, "only {certified} certified cells");
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub mod path;
 pub mod pos;
 pub mod render;
 
-pub use articulation::ConnectivityOracle;
+pub use articulation::{ring_certificate, ConnectivityOracle};
 pub use bounds::Bounds;
 pub use config::{ConfigError, SurfaceConfig};
 pub use direction::Direction;

@@ -440,26 +440,10 @@ impl MotionPlanner {
         grid: &OccupancyGrid,
         pos: Pos,
         target: Pos,
-        admit: impl FnMut(&[(Pos, Pos)]) -> bool,
-        oracle: &mut ConnectivityOracle,
-    ) -> bool {
-        let frame = grid.window_mask(pos, FRAME);
-        self.any_motion_towards_in(grid, pos, frame, target, admit, oracle)
-    }
-
-    /// [`MotionPlanner::any_motion_towards`] with the frame already
-    /// lifted: `frame` must be `grid.window_mask(pos, FRAME)`.  Lets a
-    /// caller that keys a cache on the frame lift it once per question.
-    pub fn any_motion_towards_in(
-        &self,
-        grid: &OccupancyGrid,
-        pos: Pos,
-        frame: u64,
-        target: Pos,
         mut admit: impl FnMut(&[(Pos, Pos)]) -> bool,
         oracle: &mut ConnectivityOracle,
     ) -> bool {
-        debug_assert_eq!(frame, grid.window_mask(pos, FRAME));
+        let frame = grid.window_mask(pos, FRAME);
         if frame & FRAME_CENTRE == 0 {
             return false;
         }

@@ -28,11 +28,10 @@ use sb_grid::{BlockId, Bounds, ConnectivityOracle, OccupancyGrid, Pos};
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog};
 
 /// The oracle counters a probe sequence leaves behind.
-fn counters(oracle: &ConnectivityOracle) -> [u64; 4] {
+fn counters(oracle: &ConnectivityOracle) -> [u64; 3] {
     [
         oracle.fast_probes(),
         oracle.fallback_probes(),
-        oracle.nonlocal_probes(),
         oracle.rebuilds(),
     ]
 }

@@ -3,9 +3,9 @@
 //! The gate runs complete column and serpentine reconfigurations and
 //! fails unless the world's connectivity oracle answered every probe
 //! without a BFS fallback and, on the marked cells, stayed under the
-//! full-rebuild ceiling of `2 + epochs/100`.  On the marked column cells
-//! the world's Eq. 9 memo must also serve at least 90% of the Eq. 9
-//! questions.
+//! full-rebuild ceiling of `2 + epochs/100`.  The world's Eq. 9 memo must
+//! also serve at least 90% of the Eq. 9 questions on the marked column
+//! cells, and at least 75% on every serpentine cell.
 //!
 //! The smoke deploys the election through
 //! `ReconfigurationDriver::des_simulation` at N = 10⁵ blocks (column
@@ -40,20 +40,25 @@ const FALLBACK_PROBE_CEILING: u64 = 0;
 /// Floor, in percent, for the share of Eq. 9 questions the world's
 /// per-block verdict memo serves on the marked column cells.  A complete run
 /// asks `rule_checks − elected_hops` Eq. 9 questions (every hop adds one
-/// enumeration); on column a block mostly re-asks under an unchanged
-/// neighbourhood, so the share sits near 97%, and a drop means the memo
-/// key or the oracle's provenance count stopped matching those repeats.
-/// Serpentine is not held to it: most of its questions probe cut-vertex
-/// sources, whose verdicts rest on the DFS forest and are never memoised.
+/// enumeration); a block keeps its verdict until a hop moves a cell
+/// within the catalogue's Eq. 9 radius of it, or lands where its ring
+/// cannot certify it, so on column the share sits near 97%, and a drop
+/// means hops started evicting verdicts they cannot change.
 const MEMO_HIT_FLOOR_PERCENT: u64 = 90;
+
+/// The same floor on every serpentine cell.  Most serpentine questions
+/// probe cut-vertex sources; their verdicts are kept on the same terms,
+/// and the share reads 83% at N = 48 and 96% at N = 128.
+const SERPENTINE_MEMO_HIT_FLOOR_PERCENT: u64 = 75;
 
 /// Runs full reconfigurations (not the bounded smoke slice) on the
 /// election families and fails if the world's connectivity oracle either
 /// reported a BFS fallback or — on the cells past the amortisation
 /// crossover — performed more full Tarjan rebuilds than the
-/// ceiling of `2 + 1%` of occupancy epochs, or — on the marked column
-/// cells — the Eq. 9 memo served less than [`MEMO_HIT_FLOOR_PERCENT`] of
-/// the Eq. 9 questions.
+/// ceiling of `2 + 1%` of occupancy epochs, or the Eq. 9 memo served
+/// less than [`MEMO_HIT_FLOOR_PERCENT`] of the Eq. 9 questions on a
+/// marked column cell or [`SERPENTINE_MEMO_HIT_FLOOR_PERCENT`] on a
+/// serpentine cell.
 ///
 /// Ceiling cells: rebuilds cost ~one per mover journey (O(N) total —
 /// the rule-check probe of a back-edge wall cell adjacent to the active
@@ -70,10 +75,11 @@ fn gate_connectivity_maintenance(quick: bool) {
     println!(
         "\nconnectivity maintenance gate (fallback ceiling: {FALLBACK_PROBE_CEILING} BFS \
          probes; rebuild ceiling: 2 + epochs/100 on marked cells; Eq. 9 memo hits: \
-         >= {MEMO_HIT_FLOOR_PERCENT}% on marked column cells)"
+         >= {MEMO_HIT_FLOOR_PERCENT}% on marked column cells, \
+         >= {SERPENTINE_MEMO_HIT_FLOOR_PERCENT}% on serpentine cells)"
     );
     // (family, blocks, marked): marked cells enforce the rebuild
-    // ceiling, and marked column cells the memo floor too.
+    // ceiling, and marked column cells the column memo floor too.
     let mut cells: Vec<(Family, usize, bool)> = vec![
         (Family::Column, 64, false),
         (Family::Serpentine, 48, false),
@@ -133,13 +139,15 @@ fn gate_connectivity_maintenance(quick: bool) {
                 family.name()
             );
         }
-        if marked
-            && family == Family::Column
-            && memo_hits * 100 < questions * MEMO_HIT_FLOOR_PERCENT
-        {
+        let memo_floor = match family {
+            Family::Column if marked => Some(MEMO_HIT_FLOOR_PERCENT),
+            Family::Serpentine => Some(SERPENTINE_MEMO_HIT_FLOOR_PERCENT),
+            _ => None,
+        };
+        if let Some(floor) = memo_floor.filter(|&f| memo_hits * 100 < questions * f) {
             panic!(
                 "{} N={blocks}: the Eq. 9 memo served {memo_hits} of {questions} questions \
-                 (floor: {MEMO_HIT_FLOOR_PERCENT}%)",
+                 (floor: {floor}%)",
                 family.name()
             );
         }

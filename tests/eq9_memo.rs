@@ -1,8 +1,9 @@
 //! Differential test of the world's Eq. 9 verdict memo.
 //!
 //! `SurfaceWorld::distance_to_output` serves a block's Eq. 9 verdict from
-//! its memo entry while the block's position and 7×7 occupancy window are
-//! unchanged and the stored verdict rested on local oracle facts only.
+//! its memo slot until a hop moves a cell within the catalogue's Eq. 9
+//! radius of it, or until a hop that is not one ring-certified relocation
+//! starts a new memo generation.
 //! The reference is a `SurfaceWorld` freshly built on the same occupancy:
 //! its memo is empty and its oracle has no history, so every answer it
 //! gives comes from the planner.  Random walks of hops drive the
@@ -11,8 +12,8 @@
 //! world's, and so must the path-completion flag, which the long-lived
 //! world re-evaluates only after hops that touch the oriented graph `G`.
 //! A walk keeps hopping its current mover while it can, as an
-//! election's journeys do: the oracle's pendant-mover invariant then
-//! decides probes around the mover, and those verdicts are not local.
+//! election's journeys do, so hops pass each block at every distance,
+//! inside and outside the radius.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,8 +98,8 @@ fn memo_agrees_with_a_fresh_world_on_random_walks_of_every_family() {
 
 #[test]
 fn memo_agrees_with_a_fresh_world_on_high_aspect_and_sparse_wide() {
-    // The two families whose thin strips put cut vertices and pendant
-    // movers next to most blocks: the verdicts the memo must not keep.
+    // The two families whose thin strips put cut vertices next to most
+    // blocks, where kept verdicts rest on cut-vertex probes.
     for family in [Family::HighAspect, Family::SparseWide] {
         for blocks in [32, 64] {
             for seed in 0..3 {
