@@ -114,6 +114,14 @@
 //! With rounds disabled (the default) every message carries round 0, no
 //! deadline is armed, and the protocol is bit-for-bit the historical
 //! single-round behaviour.
+//!
+//! ## Inlining
+//!
+//! [`ElectionCore::on_message`] and the per-message handlers it
+//! dispatches to carry `#[inline]`.  A release build splits crates and
+//! modules into separate codegen units, and the runtime harness that
+//! calls the core once per message lives in another module; without the
+//! attribute each message would pay out-of-line calls at every step.
 
 use crate::messages::{Candidate, Distance, Msg};
 use crate::world::{Outcome, SurfaceWorld};
@@ -271,11 +279,13 @@ impl ActionSink {
     }
 
     /// Appends an action.
+    #[inline]
     pub fn push(&mut self, action: Action) {
         self.actions.push(action);
     }
 
     /// Appends a send action.
+    #[inline]
     pub fn send(&mut self, to: BlockId, msg: Msg) {
         self.actions.push(Action::Send { to, msg });
     }
@@ -302,6 +312,7 @@ impl ActionSink {
 
     /// Removes and returns every buffered action, keeping the capacity
     /// for the next step.
+    #[inline]
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
         self.actions.drain(..)
     }
@@ -447,6 +458,7 @@ impl ElectionCore {
     }
 
     /// Message handler.  Requested effects are appended to `sink`.
+    #[inline]
     pub fn on_message(
         &mut self,
         from: BlockId,
@@ -693,6 +705,7 @@ impl ElectionCore {
         }
     }
 
+    #[inline]
     fn activate_message(&self, world: &SurfaceWorld) -> Msg {
         Msg::Activate {
             round: self.round,
@@ -706,6 +719,7 @@ impl ElectionCore {
 
     /// Merges one candidate — a uniformly chosen representative of
     /// `weight` candidates tying its distance — into the reservoir.
+    #[inline]
     fn merge_candidate(&mut self, candidate: Candidate, weight: u32, via: Option<BlockId>) {
         if candidate.distance.is_infinite() {
             return;
@@ -741,6 +755,7 @@ impl ElectionCore {
 
     // ----- handlers ------------------------------------------------------------
 
+    #[inline]
     fn on_activate(
         &mut self,
         from: BlockId,
@@ -798,6 +813,7 @@ impl ElectionCore {
         }
     }
 
+    #[inline]
     fn decline_ack(&self, to: BlockId, iteration: u32) -> Action {
         Action::Send {
             to,
@@ -813,6 +829,7 @@ impl ElectionCore {
     }
 
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     fn on_ack(
         &mut self,
         from: BlockId,

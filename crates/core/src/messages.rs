@@ -12,6 +12,10 @@
 //! carries the iteration number `IT` (the paper stores it in the block
 //! memory, Fig. 8) so that late messages from a previous iteration can be
 //! recognised.
+//!
+//! [`Msg::round`] and [`Msg::kind`] are read on every message and carry
+//! `#[inline]`: a release build splits crates and modules into separate
+//! codegen units, and their per-message callers live in other modules.
 
 use sb_grid::{BlockId, Pos};
 use std::cmp::Ordering;
@@ -203,6 +207,7 @@ impl Msg {
 
     /// The re-election round this message belongs to (0 with rounds
     /// disabled).
+    #[inline]
     pub fn round(&self) -> u32 {
         match self {
             Msg::Activate { round, .. }
@@ -214,6 +219,7 @@ impl Msg {
     }
 
     /// Short kind name used by the metrics.
+    #[inline]
     pub fn kind(&self) -> MsgKind {
         match self {
             Msg::Activate { .. } => MsgKind::Activate,

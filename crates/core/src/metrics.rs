@@ -6,6 +6,10 @@
 //! * Remark 3 — communication complexity: number of messages exchanged,
 //!   `O(N³)`.
 //! * Remark 4 — number of block hops needed to build the path, `O(N²)`.
+//!
+//! [`Metrics::record_message`] counts every sent message and carries
+//! `#[inline]`: a release build splits crates and modules into separate
+//! codegen units, and its per-message caller lives in another module.
 
 use crate::messages::MsgKind;
 use std::fmt;
@@ -150,6 +154,7 @@ impl Metrics {
     }
 
     /// Records one sent message of the given kind.
+    #[inline]
     pub fn record_message(&mut self, kind: MsgKind) {
         match kind {
             MsgKind::Activate => self.activate_msgs += 1,

@@ -31,6 +31,11 @@
 //! All state lives in the harness; timers are the only runtime capability
 //! required (`Transport::set_timer` + an `on_timer` path), which both the
 //! discrete-event simulator and the threaded actor runtime provide.
+//!
+//! The per-envelope methods of `ReliabilityState` and the tag and
+//! jitter helpers carry `#[inline]`: a release build splits crates and
+//! modules into separate codegen units, and the harness that calls them
+//! on every envelope lives in another module.
 
 use crate::messages::Msg;
 use sb_desim::network::{fnv1a64, splitmix64};
@@ -182,6 +187,7 @@ impl ReliabilityState {
         }
     }
 
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.config.enabled
     }
@@ -208,6 +214,7 @@ impl ReliabilityState {
     /// Registers one outgoing payload on the link to `peer` and returns
     /// the assigned sequence number plus the (jittered) delay before the
     /// first retransmission timer.
+    #[inline]
     pub fn register_send(&mut self, peer: usize, msg: &Msg, me: u32) -> (u32, u64) {
         let config = self.config;
         let link = match self.send_links.iter_mut().position(|l| l.peer == peer) {
@@ -236,6 +243,7 @@ impl ReliabilityState {
 
     /// Handles a transport ack: removes the in-flight entry if it is
     /// still pending.  Returns whether the ack retired a transmission.
+    #[inline]
     pub fn on_delivery_ack(&mut self, peer: usize, seq: u32) -> bool {
         let Some(link) = self.send_links.iter_mut().find(|l| l.peer == peer) else {
             return false;
@@ -251,6 +259,7 @@ impl ReliabilityState {
 
     /// Classifies an incoming [`Envelope::Data`] through the link's
     /// anti-replay window.
+    #[inline]
     pub fn on_data(&mut self, peer: usize, seq: u32) -> Deliver {
         let link = match self.recv_links.iter_mut().position(|l| l.peer == peer) {
             Some(i) => &mut self.recv_links[i],
@@ -286,6 +295,7 @@ impl ReliabilityState {
     }
 
     /// Handles a retransmission timer for `(peer, seq)`.
+    #[inline]
     pub fn on_timer(&mut self, peer: usize, seq: u32) -> TimerVerdict {
         let config = self.config;
         let Some(link) = self.send_links.iter_mut().find(|l| l.peer == peer) else {
@@ -310,11 +320,13 @@ impl ReliabilityState {
 
 /// Packs a `(peer, seq)` pair into the one `u64` timer tag the runtimes
 /// carry.
+#[inline]
 pub(crate) fn timer_tag(peer: usize, seq: u32) -> u64 {
     ((peer as u64) << 32) | u64::from(seq)
 }
 
 /// Inverse of [`timer_tag`].
+#[inline]
 pub(crate) fn split_tag(tag: u64) -> (usize, u32) {
     // sb-allow: truncating-cast — intentional low-32 extraction; the tag packs (peer << 32) | seq
     ((tag >> 32) as usize, tag as u32)
@@ -334,6 +346,7 @@ fn jitter_prefix(me: u32, peer: usize) -> u64 {
 /// link's [`jitter_prefix`] (sending block and peer), the sequence number
 /// and the attempt — so retransmission bursts decorrelate across links
 /// without any RNG state in the harness.
+#[inline]
 fn jittered_delay(rto_us: u64, jitter_prefix: u64, seq: u32, attempt: u32) -> u64 {
     let h = fnv1a64(&u64::from(seq).to_le_bytes(), jitter_prefix);
     let h = fnv1a64(&u64::from(attempt).to_le_bytes(), h);

@@ -69,6 +69,10 @@
 //! run: the reliability layer gives the message up (still counted in
 //! `delivery_failures`) and re-election recovers; with rounds disabled
 //! the historical stall-and-stop behaviour is bit-for-bit unchanged.
+//!
+//! The simulator's message callback carries `#[inline]`: the kernel loop
+//! that calls it once per delivery is compiled with the driver, and a
+//! release build splits crates and modules into separate codegen units.
 
 use crate::election::{Action, ActionSink, ElectionCore};
 use crate::messages::Msg;
@@ -532,6 +536,7 @@ impl BlockCode<Envelope, SurfaceWorld> for BlockHarness {
         self.start(&mut DesTransport(ctx));
     }
 
+    #[inline]
     fn on_message(
         &mut self,
         from: ModuleId,

@@ -6,6 +6,12 @@
 //! a fixed deterministic delay (useful for reproducible traces) to a
 //! uniformly jittered delay (useful to exercise asynchrony, message
 //! reordering across links, and the termination proof).
+//!
+//! [`LatencyModel::sample`] runs once per message, called from the
+//! simulator's generic kernel, which is compiled in the crate that names
+//! the block code.  A release build splits crates and modules into
+//! separate codegen units, so it carries `#[inline]` to be folded into
+//! that caller instead of paying an out-of-line call per message.
 
 use crate::time::Duration;
 use rand::rngs::SmallRng;
@@ -37,6 +43,7 @@ impl Default for LatencyModel {
 
 impl LatencyModel {
     /// Samples a delivery delay.
+    #[inline]
     pub fn sample(&self, rng: &mut SmallRng) -> Duration {
         match *self {
             LatencyModel::Fixed(d) => d,

@@ -25,6 +25,13 @@
 //!   guarantee is broken — a dropped `Ack` deadlocks a Dijkstra–Scholten
 //!   election, which the simulator surfaces as a drained queue with no
 //!   recorded outcome (a *timeout* in the sweep's accounting).
+//!
+//! `NetworkState::route`, the link lookup behind it and the two hash
+//! helpers run once per message, called from the simulator's generic
+//! kernel and the reliability layer, which are compiled in other crates.
+//! A release build splits crates and modules into separate codegen
+//! units, so these functions carry `#[inline]` to let each caller fold
+//! them in instead of paying an out-of-line call per message.
 
 use crate::latency::LatencyModel;
 use crate::time::Duration;
@@ -186,6 +193,7 @@ impl NetworkState {
     /// A [`NetworkModel::Uniform`] network draws the delay from `rng` (the
     /// kernel RNG) and touches no link state; every other model draws
     /// from the link's own stream.
+    #[inline]
     pub(crate) fn route(&mut self, from: usize, to: usize, rng: &mut SmallRng) -> Route {
         let mut route = Route {
             delivery: None,
@@ -250,6 +258,7 @@ impl NetworkState {
     }
 
     /// The state of the directed link `from → to`, created on first use.
+    #[inline]
     fn link(&mut self, from: usize, to: usize) -> &mut LinkState {
         if from >= self.links.len() {
             self.links.resize_with(from + 1, Vec::new);
@@ -313,6 +322,7 @@ fn link_seed(seed: u64, a: usize, b: usize) -> u64 {
 /// FNV-1a over `bytes`, continuing from `hash` — one half of the
 /// semantic-seeding discipline this crate shares with the sweep engine
 /// (start chains from the FNV offset basis `0xcbf2_9ce4_8422_2325`).
+#[inline]
 pub fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -323,6 +333,7 @@ pub fn fnv1a64(bytes: &[u8], mut hash: u64) -> u64 {
 
 /// The splitmix64 mixer/finaliser (Steele, Lea, Flood 2014) — the other
 /// half of the shared seeding discipline.
+#[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

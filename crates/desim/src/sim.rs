@@ -3,26 +3,37 @@
 //!
 //! ## Layout
 //!
-//! * Pending events live in two `BinaryHeap<Event<M>>`s keyed by
-//!   `(time, seq)`: `deliveries` holds start-up callbacks and messages,
-//!   `timers` holds timer firings.  [`Event`]'s reversed `Ord` makes each
-//!   max-heap pop its earliest event first, and the dispatcher takes the
-//!   earlier of the two heads by the same `Ord`.  `seq` is one global
-//!   counter, so the merged pop order is exactly that of a single heap:
-//!   ascending `(time, seq)`, FIFO among equal timestamps whatever their
-//!   kind.
-//! * Why two heaps: a reliable run arms one retransmission timer per
-//!   send, about a millisecond ahead, and nearly all of them fire stale.
-//!   In one heap those timers make every delivery sift through dozens of
-//!   pending entries (≈ 44 on `reliable_lossy` against ≈ 3 on column);
-//!   split off, the delivery heap stays as shallow as on a run without
-//!   timers, and each timer costs its own push and pop only.
+//! * Pending deliveries (start-up callbacks and messages) live in a
+//!   `BinaryHeap<Event<M>>` keyed by `(time, seq)`; [`Event`]'s reversed
+//!   `Ord` makes the max-heap pop its earliest event first.  Pending
+//!   timer firings live in a `VecDeque<Event<M>>` kept sorted by the same
+//!   key, earliest at the front.  The dispatcher takes the earlier of the
+//!   two heads.  `seq` is one global counter, so the merged pop order is
+//!   exactly that of a single heap: ascending `(time, seq)`, FIFO among
+//!   equal timestamps whatever their kind.
+//! * Why timers are kept apart: a reliable run arms one retransmission
+//!   timer per send, about a millisecond ahead, and nearly all of them
+//!   fire stale.  Mixed into the delivery heap, those timers would make
+//!   every delivery sift through dozens of pending entries (≈ 44 on
+//!   `reliable_lossy` against ≈ 3 on column); split off, the delivery
+//!   heap stays as shallow as on a run without timers.
+//! * Why a sorted deque rather than a second heap: retransmission timers
+//!   are armed 1–1.25 ms ahead of a clock that advances by microseconds,
+//!   so each new timer almost always belongs at or next to the back.  An
+//!   insert scans from the back for its place and a pop takes the front,
+//!   both usually O(1), where a heap of ~40 timers pays a sift on each.
+//!   Deliveries stay in a heap: with one to three pending and their
+//!   1–100 µs jitter reordering them freely, a sorted deque gained column
+//!   only 4%.
 //! * Start-up callbacks are ordinary [`EventKind::Start`] events:
 //!   [`Simulator::add`] schedules one at the current simulated time, so
 //!   every start fires before any same-time message scheduled later.
 //! * Modules live in a **dense arena** `Vec<C>` where `C` is the concrete
 //!   block-code type: the hot loop monomorphizes (no `Box<dyn>` pointer
 //!   chase, no virtual dispatch).
+//! * `Kernel::schedule` carries `#[inline]` so each send folds it in:
+//!   a release build splits crates and modules into separate codegen
+//!   units, and the kernel's generic code lands in the caller's crate.
 
 use crate::event::{Event, EventKind};
 use crate::fault::FaultPlan;
@@ -32,7 +43,7 @@ use crate::stats::SimStats;
 use crate::time::{Duration, SimTime};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 /// Mutable simulator state shared between the dispatcher and the block
@@ -42,8 +53,9 @@ struct Kernel<M, W> {
     world: W,
     /// Pending [`EventKind::Start`] and [`EventKind::Message`] events.
     deliveries: BinaryHeap<Event<M>>,
-    /// Pending [`EventKind::Timer`] events.
-    timers: BinaryHeap<Event<M>>,
+    /// Pending [`EventKind::Timer`] events, sorted by `(time, seq)`,
+    /// earliest first.
+    timers: VecDeque<Event<M>>,
     now: SimTime,
     seq: u64,
     network: NetworkState,
@@ -57,17 +69,28 @@ struct Kernel<M, W> {
 }
 
 impl<M, W> Kernel<M, W> {
+    #[inline]
     fn schedule(&mut self, time: SimTime, kind: EventKind<M>) {
-        let heap = match kind {
-            EventKind::Timer { .. } => &mut self.timers,
-            EventKind::Start { .. } | EventKind::Message { .. } => &mut self.deliveries,
-        };
-        heap.push(Event {
+        let event = Event {
             time,
             seq: self.seq,
             kind,
-        });
+        };
         self.seq += 1;
+        match event.kind {
+            EventKind::Timer { .. } => {
+                // `seq` is the largest yet, so the timer goes behind every
+                // pending one due no later than it.  Timers are armed
+                // nearly in firing order: the scan rarely passes one.
+                let at = self
+                    .timers
+                    .iter()
+                    .rposition(|pending| pending.time <= time)
+                    .map_or(0, |i| i + 1);
+                self.timers.insert(at, event);
+            }
+            EventKind::Start { .. } | EventKind::Message { .. } => self.deliveries.push(event),
+        }
         self.stats.max_queue_len = self.stats.max_queue_len.max(self.pending());
     }
 
@@ -75,21 +98,34 @@ impl<M, W> Kernel<M, W> {
         self.deliveries.len() + self.timers.len()
     }
 
-    /// The heap whose head fires next: the earlier head by `(time, seq)`
-    /// (the greater by [`Event`]'s reversed `Ord`).  A run without timers
-    /// pays one emptiness check.
-    fn next_heap(&mut self) -> &mut BinaryHeap<Event<M>> {
-        let timer_first = match self.timers.peek() {
+    /// Whether the earliest pending event by `(time, seq)` is the front
+    /// timer (the greater by [`Event`]'s reversed `Ord`).  A run without
+    /// timers pays one emptiness check.
+    fn timer_first(&self) -> bool {
+        match self.timers.front() {
             None => false,
             Some(timer) => self
                 .deliveries
                 .peek()
                 .is_none_or(|delivery| timer > delivery),
-        };
-        if timer_first {
-            &mut self.timers
+        }
+    }
+
+    /// The earliest pending event, if any.
+    fn peek(&self) -> Option<&Event<M>> {
+        if self.timer_first() {
+            self.timers.front()
         } else {
-            &mut self.deliveries
+            self.deliveries.peek()
+        }
+    }
+
+    /// Removes and returns the earliest pending event, if any.
+    fn pop(&mut self) -> Option<Event<M>> {
+        if self.timer_first() {
+            self.timers.pop_front()
+        } else {
+            self.deliveries.pop()
         }
     }
 }
@@ -221,7 +257,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
             kernel: Kernel {
                 world,
                 deliveries: BinaryHeap::new(),
-                timers: BinaryHeap::new(),
+                timers: VecDeque::new(),
                 now: SimTime::ZERO,
                 seq: 0,
                 network: NetworkState::new(NetworkModel::default(), network_seed(0xD15C0)),
@@ -336,7 +372,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
     /// Processes the next event.  Returns `false` when the queue is empty
     /// (nothing was processed).
     pub fn step(&mut self) -> bool {
-        let event = match self.kernel.next_heap().pop() {
+        let event = match self.kernel.pop() {
             Some(e) => e,
             None => return false,
         };
@@ -400,7 +436,7 @@ impl<M, W, C: BlockCode<M, W>> Simulator<M, W, C> {
         // sb-allow: wall-clock-in-sim — feeds only SimStats::wall_elapsed (host-side stdout reporting; excluded from sweep JSON)
         let start = Instant::now();
         while !self.kernel.stop_requested {
-            match self.kernel.next_heap().peek() {
+            match self.kernel.peek() {
                 Some(event) if event.time <= deadline => {
                     self.step();
                 }

@@ -4,12 +4,17 @@
 //!   FIFO among equal timestamps — for any interleaving of pushes and
 //!   pops, zero-delay bursts included.  The heap is a max-heap, so this
 //!   pins the hand-reversed `Ord` on [`Event`].
-//! * The kernel keeps deliveries and timers in two such heaps and pops
-//!   the earlier head.  Driven through the public [`Simulator`] API by a
-//!   block code that interleaves `send_with_delay` and `set_timer`, the
-//!   dispatch order must equal the whole schedule sorted by (time,
-//!   scheduling order) — equal-time timer/delivery ties included — and
-//!   the queue's length counters must count both heaps.
+//! * The kernel keeps deliveries in such a heap and timers in a sorted
+//!   queue, and pops the earlier head.  Driven through the public
+//!   [`Simulator`] API by a block code that interleaves `send_with_delay`
+//!   and `set_timer`, the dispatch order must equal the whole schedule
+//!   sorted by (time, scheduling order) — equal-time timer/delivery ties
+//!   included — and the queue's length counters must count both queues.
+//! * The timer queue is a deque kept sorted by inserting from the back,
+//!   tuned for timers armed nearly in firing order.  A scripted schedule
+//!   arms them out of order on purpose — backoff timers armed later that
+//!   fire earlier, far-future control timers, equal-time bursts — and must
+//!   still dispatch in (time, scheduling order).
 
 use proptest::prelude::*;
 use sb_desim::event::{Event, EventKind};
@@ -206,6 +211,23 @@ impl BlockCode<u64, Log> for Scripted {
     }
 }
 
+/// A simulator of `MODULES` scripted modules replaying `script`, with
+/// their start-up callbacks already entered in the reference schedule.
+fn scripted(script: Vec<Vec<Sched>>) -> Simulator<u64, Log, Scripted> {
+    let mut log = Log {
+        script,
+        ..Log::default()
+    };
+    for _ in 0..MODULES {
+        log.schedule(0);
+    }
+    let mut sim = Simulator::new(log);
+    for _ in 0..MODULES {
+        sim.add(Scripted);
+    }
+    sim
+}
+
 fn sched_strategy() -> impl Strategy<Value = Sched> {
     let far = || 100_000u64..10_000_000;
     prop_oneof![
@@ -232,16 +254,7 @@ proptest! {
         script in script_strategy(),
         deadline in 0u64..200,
     ) {
-        let mut log = Log { script, ..Log::default() };
-        for module in 0..MODULES {
-            log.schedule(0);
-            prop_assert_eq!(log.scheduled[module], (0, module as u64));
-        }
-        let mut sim = Simulator::new(log);
-        for _ in 0..MODULES {
-            sim.add(Scripted);
-        }
-
+        let mut sim = scripted(script);
         sim.run_until(SimTime(deadline));
         let log = sim.world();
         prop_assert!(log.dispatched.iter().all(|&(t, _)| t <= deadline));
@@ -261,4 +274,71 @@ proptest! {
         prop_assert_eq!(stats.events_processed, expect.len() as u64);
         prop_assert_eq!(stats.max_queue_len, log.high_water);
     }
+}
+
+/// Retransmission timers of a reliable run, armed 1–1.25 ms ahead.
+const RTO: u64 = 1_000;
+
+/// A control timer far beyond every other event.
+const FAR: u64 = 10_000_000;
+
+#[test]
+fn timers_armed_out_of_firing_order_dispatch_in_time_then_schedule_order() {
+    let timers = |dts: &[u64]| {
+        dts.iter()
+            .map(|&dt| Sched::Timer { dt })
+            .collect::<Vec<_>>()
+    };
+    // Module 0 arms a far-future control timer, then forty retransmission
+    // timers in firing order (the deque's favourable case), then sends.
+    let mut first = vec![Sched::Timer { dt: FAR }];
+    first.extend(timers(&(0..40).map(|k| RTO + 25 * k).collect::<Vec<_>>()));
+    first.push(Sched::Send { to: 1, dt: 3 });
+    let script = vec![
+        first,
+        // Module 1: a timer due with the eleventh of module 0's, and a
+        // delivery due with module 0's send.
+        vec![Sched::Timer { dt: RTO + 250 }, Sched::Send { to: 2, dt: 3 }],
+        // Module 2: deliveries and timers due together, scheduled in both
+        // orders, and a second control timer due with the first.
+        vec![
+            Sched::Tie {
+                dt: 3,
+                timer_first: true,
+            },
+            Sched::Tie {
+                dt: 3,
+                timer_first: false,
+            },
+            Sched::Timer { dt: FAR },
+        ],
+        // At t = 3: backoff timers armed later that fire earlier — one
+        // ahead of all forty pending, one in their middle, one equal to a
+        // pending one — and zero-delay ties with the other t = 3 events.
+        [
+            timers(&[RTO - 100, RTO + 497, RTO + 247]),
+            vec![
+                Sched::Tie {
+                    dt: 0,
+                    timer_first: false,
+                },
+                Sched::Tie {
+                    dt: 0,
+                    timer_first: true,
+                },
+            ],
+        ]
+        .concat(),
+        // Later events arm a burst of equal-time timers, earliest last.
+        timers(&[2 * RTO, 2 * RTO, RTO / 2, 2 * RTO, 1]),
+        timers(&[FAR - 1, 0, RTO + 1_000]),
+    ];
+    let mut sim = scripted(script);
+    let stats = sim.run_until_idle();
+    let log = sim.world();
+    let mut expect = log.scheduled.clone();
+    expect.sort_unstable();
+    assert_eq!(log.dispatched, expect);
+    assert_eq!(stats.events_processed, expect.len() as u64);
+    assert_eq!(stats.max_queue_len, log.high_water);
 }

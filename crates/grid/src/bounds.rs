@@ -1,4 +1,9 @@
 //! Surface extent.
+//!
+//! [`Bounds::contains`] and [`Bounds::index_of`] run on every cell lookup
+//! of every protocol message and carry `#[inline]`: a release build
+//! splits crates and modules into separate codegen units, and their
+//! callers live in other modules and crates.
 
 use crate::pos::Pos;
 
@@ -26,6 +31,7 @@ impl Bounds {
     }
 
     /// Whether the position falls on the surface.
+    #[inline]
     pub fn contains(&self, pos: Pos) -> bool {
         pos.x >= 0 && pos.y >= 0 && (pos.x as u32) < self.width && (pos.y as u32) < self.height
     }
@@ -33,6 +39,7 @@ impl Bounds {
     /// Row-major linear index of a contained position.
     ///
     /// Panics when the position is outside the bounds.
+    #[inline]
     pub fn index_of(&self, pos: Pos) -> usize {
         assert!(self.contains(pos), "{pos} outside {self:?}");
         pos.y as usize * self.width as usize + pos.x as usize

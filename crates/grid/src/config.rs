@@ -1,5 +1,12 @@
 //! A full problem instance: surface bounds, block placement, input and
 //! output cells.
+//!
+//! The accessors an Eq. 8–10 distance reads on every activation
+//! ([`SurfaceConfig::grid`], [`SurfaceConfig::input`],
+//! [`SurfaceConfig::output`], [`SurfaceConfig::graph`]) carry
+//! `#[inline]`: a release build splits crates and modules into separate
+//! codegen units, and the election that calls them per message lives in
+//! another crate.
 
 use crate::bounds::Bounds;
 use crate::graph::OrientedGraph;
@@ -94,16 +101,19 @@ impl SurfaceConfig {
     }
 
     /// The input cell `I`.
+    #[inline]
     pub fn input(&self) -> Pos {
         self.input
     }
 
     /// The output cell `O`.
+    #[inline]
     pub fn output(&self) -> Pos {
         self.output
     }
 
     /// The occupancy grid.
+    #[inline]
     pub fn grid(&self) -> &OccupancyGrid {
         &self.grid
     }
@@ -127,6 +137,7 @@ impl SurfaceConfig {
     }
 
     /// The oriented graph `G = (Br, L)` of the instance.
+    #[inline]
     pub fn graph(&self) -> OrientedGraph {
         OrientedGraph::new(self.bounds(), self.input, self.output)
     }

@@ -4,6 +4,11 @@
 //! input `I` and the output `O`; `L` is the set of links between elements
 //! of `Br` oriented from `I` towards `O`.  Every shortest path between `I`
 //! and `O` is contained in `G`.
+//!
+//! [`OrientedGraph::new`] and [`OrientedGraph::contains`] run in every
+//! Eq. 8 check of the election and carry `#[inline]`: a release build
+//! splits crates and modules into separate codegen units, and that
+//! per-message caller lives in another crate.
 
 use crate::bounds::Bounds;
 use crate::grid::OccupancyGrid;
@@ -42,6 +47,7 @@ pub struct OrientedGraph {
 impl OrientedGraph {
     /// Builds `G` for the given input and output cells.  The positions
     /// must lie on the surface.
+    #[inline]
     pub fn new(bounds: Bounds, input: Pos, output: Pos) -> Self {
         assert!(bounds.contains(input), "input {input} outside surface");
         assert!(bounds.contains(output), "output {output} outside surface");
@@ -70,6 +76,7 @@ impl OrientedGraph {
     }
 
     /// Whether `pos` belongs to `Br` (the bounding rectangle of `I`, `O`).
+    #[inline]
     pub fn contains(&self, pos: Pos) -> bool {
         pos.x >= self.min.x && pos.x <= self.max.x && pos.y >= self.min.y && pos.y <= self.max.y
     }

@@ -1,4 +1,9 @@
 //! Occupancy of the surface: which block sits on which cell.
+//!
+//! The cell and block lookups every protocol message reaches
+//! ([`OccupancyGrid::block_at`], [`OccupancyGrid::position_of`]) carry
+//! `#[inline]`: a release build splits crates and modules into separate
+//! codegen units, and their per-message callers live in other crates.
 
 use crate::bounds::Bounds;
 use crate::pos::Pos;
@@ -211,6 +216,7 @@ impl OccupancyGrid {
 
     /// The block occupying `pos`, if any.  Positions outside the surface
     /// are reported as empty.
+    #[inline]
     pub fn block_at(&self, pos: Pos) -> Option<BlockId> {
         if !self.bounds.contains(pos) {
             return None;
@@ -229,6 +235,7 @@ impl OccupancyGrid {
     }
 
     /// The position of a block.
+    #[inline]
     pub fn position_of(&self, id: BlockId) -> Option<Pos> {
         self.positions.get(id.0 as usize).copied().flatten()
     }
