@@ -46,7 +46,7 @@
 //!
 //! Counters are outputs only: they never enter [`SweepCell::cell_seed`].
 
-use sb_core::election::{RoundsConfig, TieBreak};
+use sb_core::election::TieBreak;
 use sb_core::workloads;
 use sb_core::{
     FaultInjection, FaultSchedule, FaultVictim, Metrics, ReconfigurationDriver, ReliabilityConfig,
@@ -295,10 +295,11 @@ impl ReliabilitySpec {
 
     /// An aggressive ack/timeout/retransmit configuration tuned for the
     /// crash probes: a tight RTO so retry exhaustion (the failure
-    /// detector feeding the round machinery) fires well inside the
-    /// round-skip deadline, and a small retry budget so a dead peer is
-    /// declared unreachable after ~(0.5 + 1 + 2 + 2 + 2) ms instead of
-    /// the default layer's multi-round-trip budget.
+    /// detector feeding the round machinery) fires well inside the 20 ms
+    /// round-skip deadline ([`sb_core::election::ROUND_SKIP_TIMEOUT_US`]),
+    /// and a small retry budget so a dead peer is declared unreachable
+    /// after ~(0.5 + 1 + 2 + 2 + 2) ms instead of the default layer's
+    /// multi-round-trip budget.
     pub fn on_fast() -> Self {
         ReliabilitySpec {
             name: "on_fast",
@@ -312,10 +313,9 @@ impl ReliabilitySpec {
     }
 }
 
-/// A crash/rejoin scenario together with the round-structured
-/// re-election configuration that measures its recovery, and the stable
-/// name both carry in the JSON record and (when active) the per-cell
-/// seed hash.
+/// A crash/rejoin scenario, run under the round-structured re-election
+/// that recovers from it, and the stable name it carries in the JSON
+/// record and (when active) the per-cell seed hash.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultSpec {
     /// Stable identifier.
@@ -323,8 +323,6 @@ pub struct FaultSpec {
     /// The scheduled crash (and optional rejoin), `None` for fault-free
     /// cells.
     pub injection: Option<FaultInjection>,
-    /// Round configuration handed to every block's election core.
-    pub rounds: RoundsConfig,
 }
 
 impl FaultSpec {
@@ -335,19 +333,6 @@ impl FaultSpec {
         FaultSpec {
             name: "none",
             injection: None,
-            rounds: RoundsConfig::off(),
-        }
-    }
-
-    /// Round configuration shared by the crash probes: a 20 ms skip
-    /// deadline sits above [`ReliabilitySpec::on_fast`]'s worst-case
-    /// retry exhaustion (~7.5 ms), so the failure detector resolves dead
-    /// peers before the watchdog has to abandon a round.
-    fn probe_rounds() -> RoundsConfig {
-        RoundsConfig {
-            enabled: true,
-            skip_timeout_us: 20_000,
-            ..RoundsConfig::on()
         }
     }
 
@@ -366,7 +351,6 @@ impl FaultSpec {
                     rejoin_at_us: Some(4_000),
                 },
             }),
-            rounds: Self::probe_rounds(),
         }
     }
 
@@ -383,7 +367,6 @@ impl FaultSpec {
                     rejoin_at_us: Some(3_800),
                 },
             }),
-            rounds: Self::probe_rounds(),
         }
     }
 
@@ -401,14 +384,20 @@ impl FaultSpec {
                     rejoin_at_us: None,
                 },
             }),
-            rounds: Self::probe_rounds(),
         }
+    }
+
+    /// Whether every block's election core runs the round layer: a spec
+    /// that injects a crash does, because without rounds a mid-election
+    /// crash deadlocks by design.
+    pub fn rounds(&self) -> bool {
+        self.injection.is_some()
     }
 
     /// Whether the spec perturbs the run at all (and therefore whether
     /// its name participates in the cell-seed hash).
     pub fn is_active(&self) -> bool {
-        self.injection.is_some() || self.rounds.enabled
+        self.injection.is_some()
     }
 }
 
@@ -641,10 +630,10 @@ impl SweepCell {
     /// coordinates mixed with the plan seed.  Independent of enumeration
     /// order and of the worker that runs the cell.  The reliability name
     /// is mixed in only when the layer is enabled, and the fault name
-    /// only when the spec injects a fault or enables rounds, so every
-    /// reliability-off fault-free cell keeps the exact seed it had
-    /// before those axes existed and the pinned historical measurements
-    /// survive byte-for-byte.
+    /// only when the spec injects a fault, so every reliability-off
+    /// fault-free cell keeps the exact seed it had before those axes
+    /// existed and the pinned historical measurements survive
+    /// byte-for-byte.
     pub fn cell_seed(&self, plan_seed: u64) -> u64 {
         let mut h = fnv1a64(self.family.name().as_bytes(), 0xcbf2_9ce4_8422_2325);
         h = fnv1a64(&(self.blocks as u64).to_le_bytes(), h);
@@ -664,9 +653,9 @@ impl SweepCell {
     }
 }
 
-/// Scalar counters measured for one cell (the full report's move log,
-/// frames and renderings are deliberately dropped so a large sweep streams
-/// through bounded memory).
+/// Scalar counters measured for one cell (the full report's move log and
+/// rendering are deliberately dropped so a large sweep streams through
+/// bounded memory).
 #[derive(Clone, Copy, Debug)]
 pub struct CellMeasurement {
     /// The cell the measurement belongs to.
@@ -748,7 +737,7 @@ pub fn run_cell(cell: &SweepCell, plan_seed: u64) -> CellMeasurement {
     // Separate stream for the tie-break RNG so it does not correlate with
     // the latency sampling.
     algorithm.seed = splitmix64(seed);
-    algorithm.rounds = cell.fault.rounds;
+    algorithm.rounds = cell.fault.rounds();
     driver = driver
         .with_algorithm(algorithm)
         .with_faults(cell.fault.injection);

@@ -54,7 +54,7 @@ proptest! {
             .with_seed(sim_seed)
             .with_faults(spec.injection);
         let mut algorithm = *driver.algorithm();
-        algorithm.rounds = spec.rounds;
+        algorithm.rounds = spec.rounds();
         driver = driver.with_algorithm(algorithm);
         let report = driver.run_des();
 

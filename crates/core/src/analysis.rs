@@ -4,12 +4,13 @@
 //! Figs. 10–11) and summarises it with a single number (55 moves).  This
 //! module extracts richer summaries from a [`ReconfigurationReport`]: which
 //! rules were used and how often, how far each block travelled, in which
-//! order the path cells were filled, and how simulated time was spent —
-//! the quantities the examples print and the benches aggregate.
+//! order the path cells were filled, how simulated time was spent, and
+//! the ASCII snapshot after every motion — the quantities the examples
+//! print and the benches aggregate.
 
 use crate::driver::ReconfigurationReport;
 use crate::world::MoveRecord;
-use sb_grid::{BlockId, Pos};
+use sb_grid::{BlockId, Pos, SurfaceConfig};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -117,6 +118,27 @@ pub fn path_fill_order(report: &ReconfigurationReport, path: &[Pos]) -> Vec<(Pos
         }
     }
     filled
+}
+
+/// The ASCII rendering after every motion of `move_log`, replayed over
+/// `initial` (the snapshots of Figs. 10–11): one frame per record, the
+/// last equal to the run's final rendering.
+///
+/// # Panics
+///
+/// If a record does not replay: `move_log` was not produced from
+/// `initial`.
+pub fn frames(initial: &SurfaceConfig, move_log: &[MoveRecord]) -> Vec<String> {
+    let mut config = initial.clone();
+    move_log
+        .iter()
+        .map(|record| {
+            record
+                .apply_to(config.grid_mut())
+                .expect("the move log replays over its initial configuration");
+            config.to_ascii()
+        })
+        .collect()
 }
 
 /// A one-struct summary of a run, convenient for table rows and examples.

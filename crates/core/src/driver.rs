@@ -56,9 +56,6 @@ pub struct ReconfigurationReport {
     /// resolves [`MoveRecord::rule`] against (one clone per run, not per
     /// executed motion).
     pub rule_names: Vec<String>,
-    /// ASCII frames recorded after every motion (empty unless frame
-    /// recording was enabled).
-    pub frames: Vec<String>,
     /// Final ASCII rendering of the surface.
     pub final_ascii: String,
     /// Simulated time at the end, in microseconds.  `None` for the actor
@@ -169,7 +166,6 @@ pub struct ReconfigurationDriver {
     network: NetworkModel,
     reliability: ReliabilityConfig,
     sim_seed: u64,
-    record_frames: bool,
     faults: Option<FaultInjection>,
 }
 
@@ -199,7 +195,6 @@ impl ReconfigurationDriver {
             network: NetworkModel::default(),
             reliability: ReliabilityConfig::off(),
             sim_seed: 1,
-            record_frames: false,
             faults: None,
         }
     }
@@ -251,18 +246,14 @@ impl ReconfigurationDriver {
     /// the world and the simulator seed, so a given
     /// (instance, seed, scenario) triple kills the same module on every
     /// run and both runtimes.  Crash recovery additionally needs the
-    /// round layer ([`crate::election::RoundsConfig`]) and usually the
-    /// reliable delivery layer; without them a mid-election crash
-    /// deadlocks by design (that contrast is what the fault sweeps
-    /// measure).
+    /// round layer ([`AlgorithmConfig::rounds`]; its deadline and bounds
+    /// are the constants [`crate::election::ROUND_SKIP_TIMEOUT_US`],
+    /// [`crate::election::ROUND_CACHE_CAP`] and
+    /// [`crate::election::MAX_ROUNDS`]) and usually the reliable delivery
+    /// layer; without them a mid-election crash deadlocks by design (that
+    /// contrast is what the fault sweeps measure).
     pub fn with_faults(mut self, faults: Option<FaultInjection>) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Records an ASCII frame after every motion.
-    pub fn with_frames(mut self) -> Self {
-        self.record_frames = true;
         self
     }
 
@@ -278,15 +269,14 @@ impl ReconfigurationDriver {
     }
 
     fn build_world(&self) -> SurfaceWorld {
-        let mut world =
-            SurfaceWorld::new(self.config.clone(), self.catalog.clone(), self.motion_model);
-        world.record_frames(self.record_frames);
-        world
+        SurfaceWorld::new(self.config.clone(), self.catalog.clone(), self.motion_model)
     }
 
+    /// The report of a finished run; consumes the world so the move log
+    /// moves into the report instead of being copied record by record.
     fn report_from_world(
         &self,
-        world: &SurfaceWorld,
+        world: SurfaceWorld,
         runtime: RuntimeKind,
         wall_time: WallDuration,
     ) -> ReconfigurationReport {
@@ -299,7 +289,6 @@ impl ReconfigurationDriver {
             path_complete: world.path_complete(),
             output_occupied: world.output_occupied(),
             metrics: world.metrics_with_connectivity(),
-            move_log: world.move_log().to_vec(),
             rule_names: world
                 .planner()
                 .catalog()
@@ -307,8 +296,8 @@ impl ReconfigurationDriver {
                 .into_iter()
                 .map(str::to_string)
                 .collect(),
-            frames: world.frames().to_vec(),
             final_ascii: world.ascii(),
+            move_log: world.into_move_log(),
             sim_time_us: None,
             events_processed: None,
             messages_delivered: None,
@@ -400,19 +389,21 @@ impl ReconfigurationDriver {
     pub fn run_des(&self) -> ReconfigurationReport {
         let mut sim = self.des_simulation();
         let stats = sim.run_until_idle();
-        let mut report =
-            self.report_from_world(sim.world(), RuntimeKind::DiscreteEvent, stats.wall_elapsed);
-        report.sim_time_us = Some(sim.now().as_micros());
-        report.events_processed = Some(stats.events_processed);
-        report.stopped = sim.is_stopped();
-        report
+        let (now, stopped) = (sim.now(), sim.is_stopped());
+        let world = sim.into_world();
+        ReconfigurationReport {
+            sim_time_us: Some(now.as_micros()),
+            events_processed: Some(stats.events_processed),
+            stopped,
+            ..self.report_from_world(world, RuntimeKind::DiscreteEvent, stats.wall_elapsed)
+        }
     }
 
     /// Runs the algorithm on the threaded actor runtime with the given
     /// wall-clock deadline.
     pub fn run_actors(&self, deadline: WallDuration) -> ReconfigurationReport {
         let run = self.actor_system().run(deadline);
-        let mut report = self.report_from_world(&run.world, RuntimeKind::Actors, run.elapsed);
+        let mut report = self.report_from_world(run.world, RuntimeKind::Actors, run.elapsed);
         report.messages_delivered = Some(run.messages_delivered);
         report.stopped = run.stopped;
         report.timed_out = run.timed_out;
@@ -429,7 +420,7 @@ mod tests {
     #[test]
     fn small_instance_completes_and_reports_consistent_metrics() {
         let cfg = workloads::rectangle_instance(3, 2, 4);
-        let report = ReconfigurationDriver::new(cfg).with_frames().run_des();
+        let report = ReconfigurationDriver::new(cfg).run_des();
         assert!(report.completed, "report: {report}");
         assert!(report.path_complete);
         assert!(report.output_occupied);
@@ -441,7 +432,6 @@ mod tests {
         assert!(report.metrics.elementary_moves >= report.metrics.elected_hops);
         assert!(report.metrics.elections >= report.metrics.elected_hops);
         assert_eq!(report.move_log.len() as u64, report.metrics.elected_hops);
-        assert_eq!(report.frames.len(), report.move_log.len());
         assert!(report.total_messages() > 0);
         assert!(report.metrics.distance_computations > 0);
         assert!(report.events_processed.expect("DES run counts events") > 0);

@@ -75,8 +75,8 @@
 //!
 //! The paper's election silently assumes every module survives to the
 //! end; one crashed relay leaves the Root waiting forever.  With
-//! [`RoundsConfig::on`]-style configuration the core wraps iterations in
-//! explicit **rounds**, borrowing the `Round`/`Step` state-machine shape
+//! [`AlgorithmConfig::rounds`] set, the core wraps iterations in explicit
+//! **rounds**, borrowing the `Round`/`Step` state-machine shape
 //! of deadline-driven BFT protocols (Tendermint): every message carries
 //! the sender's round next to the iteration, and three chronology rules
 //! make message handling total over rounds —
@@ -85,15 +85,15 @@
 //!   receiver's is dropped without effect (its election was abandoned);
 //! * **future rounds are cached**: a non-`Activate` message from a round
 //!   above the receiver's is held in a *bounded* cache
-//!   ([`RoundsConfig::cache_cap`], oldest entry evicted and counted in
+//!   ([`ROUND_CACHE_CAP`] entries, oldest entry evicted and counted in
 //!   `metrics.round_cache_evictions` on overflow) and replayed when the
 //!   receiver enters that round; a future-round `Activate` makes the
 //!   receiver enter the round immediately (reset, adopt, engage);
 //! * **the current round runs the unchanged iteration discipline**.
 //!
 //! **Round-skip invariant**: the runtime harness arms a deadline
-//! ([`RoundsConfig::skip_timeout_us`]) whenever a block participates in
-//! an election; if the deadline expires and the block's `progress`
+//! ([`ROUND_SKIP_TIMEOUT_US`]) whenever a block participates in an
+//! election; if the deadline expires and the block's `progress`
 //! counter — bumped once per accepted current-round message — has not
 //! moved, the round is declared stalled.  Round chronology is
 //! **single-writer**: only the *Root* reacts by abandoning the round
@@ -106,10 +106,10 @@
 //! stale).  Because the world (occupancy, hops already performed)
 //! persists across rounds, a spurious skip merely re-runs an election
 //! over unchanged state and elects the same winner; liveness is bounded
-//! by [`RoundsConfig::max_rounds`], past which the Root concludes a
-//! clean `Stalled` — never a hang.  Rounds are totally ordered by the
-//! single Root's chronology; a rejoining or lagging Root is pulled
-//! forward by `RoundSync` replies to its stale `Activate`s.
+//! by [`MAX_ROUNDS`], past which the Root concludes a clean `Stalled` —
+//! never a hang.  Rounds are totally ordered by the single Root's
+//! chronology; a rejoining or lagging Root is pulled forward by
+//! `RoundSync` replies to its stale `Activate`s.
 //!
 //! With rounds disabled (the default) every message carries round 0, no
 //! deadline is armed, and the protocol is bit-for-bit the historical
@@ -160,59 +160,26 @@ pub enum Termination {
     PathComplete,
 }
 
-/// Configuration of the round-structured re-election layer (see the
-/// module docs).  Disabled by default: the historical single-round
-/// protocol, bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoundsConfig {
-    /// Whether rounds (and the harness round-skip watchdog) are active.
-    pub enabled: bool,
-    /// Round-skip deadline in microseconds (simulated time on the DES,
-    /// wall-clock on the actor runtime): a participating block that sees
-    /// no accepted message for this long abandons the round.  Must sit
-    /// above the reliable-delivery layer's worst-case recovery time or
-    /// rounds will preempt retransmissions that were about to succeed
-    /// (harmless for correctness — the re-election still converges — but
-    /// wasteful).
-    pub skip_timeout_us: u64,
-    /// Bound on the per-block out-of-order future-round message cache;
-    /// on overflow the oldest entry is evicted and counted
-    /// (`metrics.round_cache_evictions`), so a late-message flood
-    /// degrades to counted drops, never unbounded memory.
-    pub cache_cap: usize,
-    /// Safety valve: a skip past this round concludes the run as a clean
-    /// `Stalled` instead of re-electing forever.
-    pub max_rounds: u32,
-}
+/// Round-skip deadline in microseconds (simulated time on the DES,
+/// wall-clock on the actor runtime): a participating block that sees no
+/// accepted message for this long abandons the round.  It sits above the
+/// worst-case retry exhaustion of the crash probes' fast reliable layer
+/// (~7.5 ms: 500 µs base RTO, 2 ms cap, 4 retries), so the failure
+/// detector resolves dead peers before the watchdog has to abandon a
+/// round; a shorter deadline would preempt retransmissions that were
+/// about to succeed (harmless for correctness — the re-election still
+/// converges — but wasteful).
+pub const ROUND_SKIP_TIMEOUT_US: u64 = 20_000;
 
-impl RoundsConfig {
-    /// Rounds disabled: the historical single-round behaviour.
-    pub const fn off() -> Self {
-        RoundsConfig {
-            enabled: false,
-            skip_timeout_us: 10_000,
-            cache_cap: 32,
-            max_rounds: 64,
-        }
-    }
+/// Bound on the per-block out-of-order future-round message cache; on
+/// overflow the oldest entry is evicted and counted
+/// (`metrics.round_cache_evictions`), so a late-message flood degrades
+/// to counted drops, never unbounded memory.
+pub const ROUND_CACHE_CAP: usize = 32;
 
-    /// Rounds enabled with the default policy: a 10 ms skip deadline
-    /// (far above every benign per-message latency the sweep uses, and
-    /// above a healthy link's retransmission recovery), a 32-entry
-    /// future-round cache and a 64-round liveness valve.
-    pub const fn on() -> Self {
-        RoundsConfig {
-            enabled: true,
-            ..RoundsConfig::off()
-        }
-    }
-}
-
-impl Default for RoundsConfig {
-    fn default() -> Self {
-        RoundsConfig::off()
-    }
-}
+/// Liveness valve: a round skip past this round concludes the run as a
+/// clean `Stalled` instead of re-electing forever.
+pub const MAX_ROUNDS: u32 = 64;
 
 /// Tunable parameters of the algorithm.
 #[derive(Clone, Copy, Debug)]
@@ -225,8 +192,10 @@ pub struct AlgorithmConfig {
     pub max_iterations: u32,
     /// Seed for the per-block RNG used by the random tie-break.
     pub seed: u64,
-    /// Round-structured re-election (off by default).
-    pub rounds: RoundsConfig,
+    /// Round-structured re-election (off by default; see the module
+    /// docs and [`ROUND_SKIP_TIMEOUT_US`], [`ROUND_CACHE_CAP`],
+    /// [`MAX_ROUNDS`]).
+    pub rounds: bool,
 }
 
 impl Default for AlgorithmConfig {
@@ -236,7 +205,7 @@ impl Default for AlgorithmConfig {
             termination: Termination::default(),
             max_iterations: 1_000_000,
             seed: 0xB10C,
-            rounds: RoundsConfig::off(),
+            rounds: false,
         }
     }
 }
@@ -441,8 +410,8 @@ impl ElectionCore {
         self.progress
     }
 
-    /// The configured round layer.
-    pub fn rounds(&self) -> RoundsConfig {
+    /// Whether the round layer is enabled.
+    pub fn rounds(&self) -> bool {
         self.config.rounds
     }
 
@@ -450,7 +419,7 @@ impl ElectionCore {
     /// effects are appended to `sink`.
     pub fn on_start(&mut self, world: &mut SurfaceWorld, sink: &mut ActionSink) {
         if self.is_root {
-            if self.config.rounds.enabled {
+            if self.config.rounds {
                 world.metrics_mut().rounds_started += 1;
             }
             self.start_iteration(1, world, sink);
@@ -466,7 +435,7 @@ impl ElectionCore {
         world: &mut SurfaceWorld,
         sink: &mut ActionSink,
     ) {
-        if self.config.rounds.enabled {
+        if self.config.rounds {
             if let Msg::RoundSync { round } = msg {
                 // Catch-up notification: a peer already reached a higher
                 // round.  Jump forward (a Root re-floods there); at or
@@ -532,7 +501,7 @@ impl ElectionCore {
             // Handled (or ignored, with rounds off) before the dispatch.
             Msg::RoundSync { .. } => return,
         }
-        if self.config.rounds.enabled {
+        if self.config.rounds {
             self.replay_cached(world, sink);
         }
     }
@@ -541,20 +510,20 @@ impl ElectionCore {
 
     /// Watchdog expiry at the *Root*: the harness observed no progress
     /// for a full skip deadline.  Abandons the stalled round and
-    /// re-floods the same iteration in the next one; past
-    /// [`RoundsConfig::max_rounds`] the run concludes as a clean
-    /// `Stalled` — the liveness valve that guarantees zero hangs.  The
-    /// harness never calls this at a non-Root (round chronology is the
-    /// Root's alone to advance; a quiet non-Root just lets its watchdog
-    /// lapse), but a direct call there advances the local round and
-    /// turns the block passive until a round ≥ its own re-activates it.
+    /// re-floods the same iteration in the next one; past [`MAX_ROUNDS`]
+    /// the run concludes as a clean `Stalled` — the liveness valve that
+    /// guarantees zero hangs.  The harness never calls this at a non-Root
+    /// (round chronology is the Root's alone to advance; a quiet non-Root
+    /// just lets its watchdog lapse), but a direct call there advances
+    /// the local round and turns the block passive until a round ≥ its
+    /// own re-activates it.
     pub fn skip_round(&mut self, world: &mut SurfaceWorld, sink: &mut ActionSink) {
-        if !self.config.rounds.enabled {
+        if !self.config.rounds {
             return;
         }
         world.metrics_mut().round_skips += 1;
         let next = self.round.saturating_add(1);
-        if next > self.config.rounds.max_rounds {
+        if next > MAX_ROUNDS {
             if world.outcome().is_none() {
                 world.set_outcome(Outcome::Stalled);
             }
@@ -580,7 +549,7 @@ impl ElectionCore {
     ) {
         self.reset_state();
         self.iteration = iteration;
-        if self.config.rounds.enabled {
+        if self.config.rounds {
             self.enter_round(round, world, sink);
         } else if self.is_root {
             // Without rounds there is no re-election chronology; restart
@@ -604,7 +573,7 @@ impl ElectionCore {
         world: &mut SurfaceWorld,
         sink: &mut ActionSink,
     ) {
-        if !self.config.rounds.enabled || !self.engaged {
+        if !self.config.rounds || !self.engaged {
             return;
         }
         if !self.awaiting.contains(&peer) {
@@ -638,8 +607,7 @@ impl ElectionCore {
     /// Appends one future-round message to the bounded cache, evicting
     /// (and counting) the oldest entry on overflow.
     fn cache_future(&mut self, from: BlockId, msg: Msg, world: &mut SurfaceWorld) {
-        let cap = self.config.rounds.cache_cap.max(1);
-        if self.future_cache.len() >= cap {
+        if self.future_cache.len() >= ROUND_CACHE_CAP {
             self.future_cache.remove(0);
             world.metrics_mut().round_cache_evictions += 1;
         }
@@ -892,14 +860,14 @@ impl ElectionCore {
     fn conclude_phase_one(&mut self, world: &mut SurfaceWorld, sink: &mut ActionSink) {
         if self.best.distance.is_infinite() || self.best.id == self.me {
             // No block can move towards the output anymore.
-            if self.goal_reached(true, world) {
+            if self.goal_reached(world) {
                 world.set_outcome(Outcome::Completed);
                 sink.stop();
-            } else if self.config.rounds.enabled {
+            } else if self.config.rounds {
                 // With rounds on, "no candidate" may be transient: a
                 // crashed subtree was declined away (synthesised or real
                 // declines) and may yet rejoin.  Stay engaged and let the
-                // round-skip deadline re-elect; `max_rounds` bounds the
+                // round-skip deadline re-elect; `MAX_ROUNDS` bounds the
                 // wait, after which the valve concludes `Stalled` anyway.
             } else {
                 world.set_outcome(Outcome::Stalled);
@@ -1028,7 +996,7 @@ impl ElectionCore {
             sink.stop();
             return;
         }
-        if self.goal_reached(reached_output, world) {
+        if self.goal_reached(world) {
             world.set_outcome(Outcome::Completed);
             sink.stop();
             return;
@@ -1042,9 +1010,12 @@ impl ElectionCore {
         self.start_iteration(next, world, sink);
     }
 
-    fn goal_reached(&self, reached_output: bool, world: &SurfaceWorld) -> bool {
+    /// Whether Algorithm 1 stops on the current occupancy.  `O` is a
+    /// locked cell, so a block that reaches it never leaves: an occupied
+    /// output is exactly "some hop reached the output".
+    fn goal_reached(&self, world: &SurfaceWorld) -> bool {
         match self.config.termination {
-            Termination::OutputReached => reached_output || world.output_occupied(),
+            Termination::OutputReached => world.output_occupied(),
             Termination::PathComplete => world.path_complete(),
         }
     }
@@ -1719,7 +1690,7 @@ mod tests {
     fn config_rounds_on() -> AlgorithmConfig {
         AlgorithmConfig {
             tie_break: TieBreak::FirstSeen,
-            rounds: RoundsConfig::on(),
+            rounds: true,
             ..AlgorithmConfig::default()
         }
     }
@@ -1864,7 +1835,7 @@ mod tests {
         // Counterpart of `root_stops_with_stalled_when_every_candidate_is
         // _infinite`: with rounds enabled an all-declined fold may just be
         // a transient (a crashed cut vertex about to rejoin), so the Root
-        // stays engaged and lets the watchdog re-elect; `max_rounds`
+        // stays engaged and lets the watchdog re-elect; `MAX_ROUNDS`
         // bounds the wait.
         let mut world = tiny_world();
         let root = world.root_block().unwrap();
@@ -1896,20 +1867,20 @@ mod tests {
     fn round_skip_past_max_rounds_stalls_cleanly() {
         let mut world = tiny_world();
         let root = world.root_block().unwrap();
-        let mut config = config_rounds_on();
-        config.rounds.max_rounds = 2;
-        let mut core = ElectionCore::new(root, true, config);
+        let mut core = ElectionCore::new(root, true, config_rounds_on());
         let _ = start(&mut core, &mut world);
         let mut sink = ActionSink::new();
-        for _ in 0..3 {
+        for skip in 1..=MAX_ROUNDS {
             core.skip_round(&mut world, &mut sink);
+            assert_eq!(core.round(), skip, "skip {skip} re-floods in round {skip}");
         }
+        let refloods: Vec<Action> = sink.drain().collect();
+        assert!(!refloods.contains(&Action::Stop), "{refloods:?}");
+        assert_eq!(world.outcome(), None);
+        core.skip_round(&mut world, &mut sink);
         let actions: Vec<Action> = sink.drain().collect();
-        assert!(
-            actions.contains(&Action::Stop),
-            "the liveness valve must fire: {actions:?}"
-        );
+        assert_eq!(actions, vec![Action::Stop], "the liveness valve must fire");
         assert_eq!(world.outcome(), Some(Outcome::Stalled));
-        assert_eq!(world.metrics().round_skips, 3);
+        assert_eq!(world.metrics().round_skips, u64::from(MAX_ROUNDS) + 1);
     }
 }

@@ -79,7 +79,7 @@ pub mod world;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use crate::driver::{ReconfigurationDriver, ReconfigurationReport};
-    pub use crate::election::{AlgorithmConfig, RoundsConfig, Termination, TieBreak};
+    pub use crate::election::{AlgorithmConfig, Termination, TieBreak};
     pub use crate::messages::{Distance, Msg};
     pub use crate::metrics::Metrics;
     pub use crate::reliability::{Envelope, ReliabilityConfig};

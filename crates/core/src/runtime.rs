@@ -74,7 +74,7 @@
 //! that calls it once per delivery is compiled with the driver, and a
 //! release build splits crates and modules into separate codegen units.
 
-use crate::election::{Action, ActionSink, ElectionCore};
+use crate::election::{Action, ActionSink, ElectionCore, ROUND_SKIP_TIMEOUT_US};
 use crate::messages::Msg;
 use crate::reliability::{
     split_tag, timer_tag, Deliver, Envelope, ReliabilityConfig, ReliabilityState, TimerVerdict,
@@ -268,7 +268,7 @@ impl BlockHarness {
                 transport.set_timer(rejoin_at_us, TAG_REJOIN);
             }
         }
-        if self.core.rounds().enabled {
+        if self.core.rounds() {
             self.arm_watchdog(transport);
         }
         let BlockHarness { core, sink, .. } = self;
@@ -281,7 +281,7 @@ impl BlockHarness {
     fn arm_watchdog<T: Transport>(&mut self, transport: &mut T) {
         self.watchdog_armed = true;
         self.progress_at_arm = self.core.progress();
-        transport.set_timer(self.core.rounds().skip_timeout_us, TAG_ROUND_SKIP);
+        transport.set_timer(ROUND_SKIP_TIMEOUT_US, TAG_ROUND_SKIP);
     }
 
     /// Delivers one envelope from the module at index `from` and executes
@@ -331,7 +331,7 @@ impl BlockHarness {
             core.on_message(from_block, msg, world, sink);
         });
         self.dispatch(transport);
-        if self.core.rounds().enabled && !self.watchdog_armed {
+        if self.core.rounds() && !self.watchdog_armed {
             // A lapsed non-Root watchdog (quiet deadline, see
             // `on_watchdog_timer`) revives on the next delivered message.
             self.arm_watchdog(transport);
@@ -368,7 +368,7 @@ impl BlockHarness {
                 transport.set_timer(delay_us, tag);
             }
             TimerVerdict::Exhausted => {
-                if self.core.rounds().enabled {
+                if self.core.rounds() {
                     let BlockHarness { core, sink, .. } = self;
                     transport.with_world(|world| {
                         world.metrics_mut().delivery_failures += 1;
@@ -429,7 +429,7 @@ impl BlockHarness {
         let BlockHarness { core, sink, .. } = self;
         transport.with_world(|world| core.rejoin_at(rejoin_round, iteration, world, sink));
         self.dispatch(transport);
-        if self.core.rounds().enabled {
+        if self.core.rounds() {
             self.arm_watchdog(transport);
         }
     }
@@ -446,7 +446,7 @@ impl BlockHarness {
     /// at that block comes from the Root's skip or from its dead peer's
     /// retry exhaustion, never from a private round counter.
     fn on_watchdog_timer<T: Transport>(&mut self, transport: &mut T) {
-        if !self.core.rounds().enabled {
+        if !self.core.rounds() {
             return;
         }
         self.watchdog_armed = false;
@@ -899,7 +899,7 @@ mod tests {
     fn recovery_algorithm() -> AlgorithmConfig {
         AlgorithmConfig {
             tie_break: TieBreak::LowestId,
-            rounds: crate::election::RoundsConfig::on(),
+            rounds: true,
             ..AlgorithmConfig::default()
         }
     }

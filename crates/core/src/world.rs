@@ -17,17 +17,18 @@ use crate::messages::Distance;
 use crate::metrics::Metrics;
 use sb_grid::articulation::net_effect;
 use sb_grid::graph::OrientedGraph;
-use sb_grid::{ring_certificate, BlockId, ConnectivityOracle, OccupancyGrid, Pos, SurfaceConfig};
+use sb_grid::{
+    ring_certificate, BlockId, ConnectivityOracle, GridError, OccupancyGrid, Pos, SurfaceConfig,
+};
 use sb_motion::{MotionPlanner, PlannedMotion, RuleCatalog, RuleId};
 use std::fmt;
 
 /// Which motion feasibility model the world enforces.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum MotionModel {
     /// The Smart Blocks model of this paper: a block only moves through a
     /// validated motion rule (support blocks, possible carrying), and no
     /// move may disconnect the ensemble (Remark 1).
-    #[default]
     RuleBased,
     /// The model of the earlier work \[14\] (Tembo & El-Baz 2013): blocks
     /// move freely on the surface without support from other blocks, and
@@ -78,6 +79,33 @@ pub struct MoveRecord {
     pub moves: Vec<(BlockId, Pos, Pos)>,
 }
 
+impl MoveRecord {
+    /// Replays this motion on `grid`, as the world executed it: a
+    /// catalogue rule's moves at once, a free-motion journey step by
+    /// step.  Replaying a move log in order over the initial
+    /// configuration reproduces every intermediate occupancy
+    /// ([`crate::analysis::frames`]).
+    pub fn apply_to(&self, grid: &mut OccupancyGrid) -> Result<(), GridError> {
+        let moves: Vec<(Pos, Pos)> = self.moves.iter().map(|&(_, from, to)| (from, to)).collect();
+        apply_motion(grid, self.rule, &moves)
+    }
+}
+
+/// Applies one motion's `(from, to)` cells to `grid`: a catalogue rule's
+/// moves simultaneously, a free-motion journey one step after the other.
+fn apply_motion(
+    grid: &mut OccupancyGrid,
+    rule: MoveRule,
+    moves: &[(Pos, Pos)],
+) -> Result<(), GridError> {
+    match rule {
+        MoveRule::Catalog(_) => grid.apply_simultaneous_moves(moves).map(drop),
+        MoveRule::Free => moves
+            .iter()
+            .try_for_each(|&(from, to)| grid.move_block(from, to).map(drop)),
+    }
+}
+
 /// Result of asking the world to perform the elected block's hop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HopResult {
@@ -100,8 +128,6 @@ pub struct SurfaceWorld {
     module_of: Vec<Option<usize>>,
     block_of: Vec<BlockId>,
     outcome: Option<Outcome>,
-    frames: Vec<String>,
-    record_frames: bool,
     /// Cut-vertex connectivity oracle serving every Remark 1 probe of the
     /// election (Eq. 9 feasibility and hop enumeration); it tracks grid
     /// epochs internally.
@@ -185,8 +211,6 @@ impl SurfaceWorld {
             module_of: Vec::new(),
             block_of: Vec::new(),
             outcome: None,
-            frames: Vec::new(),
-            record_frames: false,
             oracle: ConnectivityOracle::new(),
             path_complete,
             eq9_memo: vec![None; memo_slots],
@@ -198,13 +222,6 @@ impl SurfaceWorld {
     /// Creates a world with the standard catalogue and rule-based motion.
     pub fn standard(config: SurfaceConfig) -> Self {
         SurfaceWorld::new(config, RuleCatalog::standard(), MotionModel::RuleBased)
-    }
-
-    /// Enables recording of an ASCII frame after every executed motion
-    /// (used by the examples to display the reconfiguration steps like
-    /// Figs. 10–11).
-    pub fn record_frames(&mut self, enable: bool) {
-        self.record_frames = enable;
     }
 
     // ----- identity / mapping ------------------------------------------------
@@ -321,11 +338,6 @@ impl SurfaceWorld {
     /// The motion planner (exposed for analysis tools and benches).
     pub fn planner(&self) -> &MotionPlanner {
         &self.planner
-    }
-
-    /// The configured motion model.
-    pub fn motion_model(&self) -> MotionModel {
-        self.motion_model
     }
 
     // ----- election-side queries ---------------------------------------------
@@ -532,7 +544,7 @@ impl SurfaceWorld {
                 .map(|m: &PlannedMotion| (MoveRule::Catalog(m.rule_id), m.moves.clone())),
             MotionModel::FreeMotion => {
                 // Walk towards the output until aligned (locked cell) or
-                // blocked; each step is applied later as its own
+                // blocked; `apply_motion` applies each step as its own
                 // elementary move, in order.
                 let mut steps = Vec::new();
                 let mut cur = pos;
@@ -568,24 +580,12 @@ impl SurfaceWorld {
                 (id, from, to)
             })
             .collect();
-        match self.motion_model {
-            MotionModel::RuleBased => {
-                let certified = certified_relocation(self.config.grid(), &moves);
-                self.config
-                    .grid_mut()
-                    .apply_simultaneous_moves(&moves)
-                    .expect("planned motion must be executable");
-                self.forget_eq9_verdicts(&moves, certified);
-            }
-            MotionModel::FreeMotion => {
-                for &(from, to) in &moves {
-                    self.config
-                        .grid_mut()
-                        .move_block(from, to)
-                        .expect("free-motion step must be executable");
-                }
-            }
-        }
+        // Free motion keeps no Eq. (9) memo: its hops only advance the
+        // generation.
+        let certified = rule != MoveRule::Free && certified_relocation(self.config.grid(), &moves);
+        apply_motion(self.config.grid_mut(), rule, &moves)
+            .expect("planned motion must be executable");
+        self.forget_eq9_verdicts(&moves, certified);
         // The mutations above advanced the grid's epoch, which the oracle
         // keys on.
         self.recheck_path(&moves);
@@ -596,9 +596,6 @@ impl SurfaceWorld {
             rule,
             moves: records,
         });
-        if self.record_frames {
-            self.frames.push(self.ascii());
-        }
         let new_pos = self.position_of(block).expect("block still on surface");
         HopResult {
             moved: true,
@@ -705,6 +702,11 @@ impl SurfaceWorld {
         &self.move_log
     }
 
+    /// Consumes the world and returns its move log.
+    pub fn into_move_log(self) -> Vec<MoveRecord> {
+        self.move_log
+    }
+
     /// The display name of a recorded motion's rule, resolved through the
     /// world's catalogue (records store the interned [`RuleId`] only).
     pub fn rule_name_of(&self, record: &MoveRecord) -> &str {
@@ -712,12 +714,6 @@ impl SurfaceWorld {
             MoveRule::Catalog(id) => self.planner.catalog().name_of(id),
             MoveRule::Free => "free",
         }
-    }
-
-    /// The recorded ASCII frames (empty unless
-    /// [`SurfaceWorld::record_frames`] was enabled).
-    pub fn frames(&self) -> &[String] {
-        &self.frames
     }
 
     /// ASCII rendering of the current occupancy.
@@ -850,6 +846,7 @@ mod tests {
         assert!(w.metrics().elementary_moves >= 1);
         assert_eq!(w.metrics().elected_hops, 1);
         assert!(w.grid().is_connected());
+        assert!(w.ascii_with_ids().contains('|'));
     }
 
     #[test]
@@ -896,17 +893,6 @@ mod tests {
         assert!(w.path_complete());
         let path = w.completed_path().unwrap();
         assert_eq!(path.len(), 4);
-    }
-
-    #[test]
-    fn frames_recorded_when_enabled() {
-        let mut w = small_world();
-        w.record_frames(true);
-        let mover = w.grid().block_at(Pos::new(2, 1)).unwrap();
-        w.hop_towards_output(mover, 1);
-        assert_eq!(w.frames().len(), 1);
-        assert!(w.frames()[0].contains('#'));
-        assert!(w.ascii_with_ids().contains('|'));
     }
 
     #[test]

@@ -8,12 +8,13 @@
 //! simple laptop" (Section V.E).  VisibleSim is not reusable here, so this
 //! crate implements the same architectural idea from scratch:
 //!
-//! * a **discrete-event core**: pending events keyed by `(time, seq)` in
-//!   two binary heaps, one for start-up callbacks and message deliveries
-//!   and one for timers, so that the retransmission timers of a reliable
-//!   run never deepen the delivery heap; the dispatcher pops the earlier
-//!   head, and one global `seq` keeps equal-time events in FIFO order
-//!   across both (see [`sim`] for the layout);
+//! * a **discrete-event core**: pending events keyed by `(time, seq)`,
+//!   start-up callbacks and message deliveries in a binary heap and
+//!   timers in a deque kept sorted by the same key, so that the
+//!   retransmission timers of a reliable run never deepen the delivery
+//!   heap; the dispatcher pops the earlier head, and one global `seq`
+//!   keeps equal-time events in FIFO order across both (see [`sim`] for
+//!   the layout);
 //! * per-module **block codes** ([`BlockCode`]): the user program executed
 //!   by every block, reacting to message and timer events (a block that
 //!   needs VisibleSim's discrete-time ticks re-arms a timer with

@@ -264,9 +264,8 @@ impl MotionPlanner {
     /// If a rule's window, anchored so that one of its moves starts at
     /// the window centre, does not fit the [`FRAME`]×[`FRAME`] subject
     /// frame: `max(|from.x|, |from.y|) + size / 2 > 3` for some move.
-    /// `SurfaceWorld::new` (in `sb-core`) requires the stricter
-    /// `max(|from.x|, |from.y|) + size / 2 + 1 <= 3`, so every catalogue a
-    /// world runs fits.
+    /// This is the only limit on a world's catalogue: `SurfaceWorld::new`
+    /// (in `sb-core`) builds its planner here and checks nothing more.
     pub fn new(catalog: RuleCatalog) -> Self {
         let candidates = catalog
             .compiled()

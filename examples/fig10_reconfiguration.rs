@@ -8,6 +8,7 @@
 //! cargo run --release --example fig10_reconfiguration
 //! ```
 
+use smart_surface::core::analysis;
 use smart_surface::core::workloads::fig10_instance;
 use smart_surface::core::ReconfigurationDriver;
 
@@ -22,7 +23,7 @@ fn main() {
     );
     println!("\nInitial state:\n{}", config.to_ascii());
 
-    let report = ReconfigurationDriver::new(config).with_frames().run_des();
+    let report = ReconfigurationDriver::new(config.clone()).run_des();
 
     println!(
         "Reconfiguration {}",
@@ -46,7 +47,7 @@ fn main() {
 
     // Show the beginning, middle and end of the reconfiguration, like the
     // sequence of snapshots in Figs. 10 and 11.
-    let frames = &report.frames;
+    let frames = analysis::frames(&config, &report.move_log);
     if !frames.is_empty() {
         let picks = [
             ("after the first move", 0),
@@ -59,6 +60,6 @@ fn main() {
     }
 
     println!("Run summary:");
-    let summary = smart_surface::core::analysis::RunSummary::from_report(&report);
+    let summary = analysis::RunSummary::from_report(&report);
     println!("{summary}");
 }

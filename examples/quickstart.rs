@@ -38,7 +38,6 @@ fn main() {
 
     let report = ReconfigurationDriver::new(config)
         .with_algorithm(algorithm)
-        .with_frames()
         .run_des();
 
     println!("== outcome ==");

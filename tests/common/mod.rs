@@ -24,13 +24,7 @@ pub fn expected_activations(initial: &SurfaceConfig, report: &ReconfigurationRep
     let mut total = 0;
     for record in &report.move_log {
         total += flood(&grid);
-        let moves: Vec<_> = record
-            .moves
-            .iter()
-            .map(|&(_, from, to)| (from, to))
-            .collect();
-        grid.apply_simultaneous_moves(&moves)
-            .expect("logged moves replay");
+        record.apply_to(&mut grid).expect("logged moves replay");
     }
     // A stalled run's last election finds no hop.
     if report.stalled {

@@ -9,8 +9,9 @@
 //! carrying motions are used to cross corners, and at least one block ends
 //! up off the path as a helper.
 
+use smart_surface::core::analysis;
 use smart_surface::core::workloads::fig10_instance;
-use smart_surface::core::{ReconfigurationDriver, Termination, TieBreak};
+use smart_surface::core::{MotionModel, ReconfigurationDriver, Termination, TieBreak};
 use smart_surface::grid::Path;
 
 #[test]
@@ -19,9 +20,7 @@ fn fig10_reconfiguration_completes_with_a_full_column() {
     assert_eq!(config.block_count(), 12);
     assert_eq!(config.graph().shortest_path_info().cells, 11);
 
-    let report = ReconfigurationDriver::new(config.clone())
-        .with_frames()
-        .run_des();
+    let report = ReconfigurationDriver::new(config.clone()).run_des();
     assert!(report.completed, "{report}");
     assert!(report.path_complete);
     assert!(report.output_occupied);
@@ -35,6 +34,28 @@ fn fig10_reconfiguration_completes_with_a_full_column() {
     let path = Path::new(cells);
     assert!(path.is_valid_conveyor(final_config.grid(), config.input(), config.output()));
     assert_eq!(path.len(), 11);
+}
+
+#[test]
+fn fig10_frames_replay_the_move_log() {
+    // The snapshots of Figs. 10–11 are replayed from the move log: one
+    // frame per motion, ending on the run's final rendering.  The
+    // rule-based run carries (two blocks moved at once), the free-motion
+    // run travels several cells per journey (one step after the other).
+    let config = fig10_instance();
+    for model in [MotionModel::RuleBased, MotionModel::FreeMotion] {
+        let report = ReconfigurationDriver::new(config.clone())
+            .with_motion_model(model)
+            .run_des();
+        assert!(report.completed, "{model:?}: {report}");
+        assert!(
+            report.move_log.iter().any(|r| r.moves.len() > 1),
+            "{model:?}: some motion moves more than one cell"
+        );
+        let frames = analysis::frames(&config, &report.move_log);
+        assert_eq!(frames.len(), report.move_log.len(), "{model:?}");
+        assert_eq!(frames.last(), Some(&report.final_ascii), "{model:?}");
+    }
 }
 
 #[test]
@@ -110,7 +131,7 @@ fn fig10_respects_the_locked_path_invariant() {
     // refilling it in the same motion.
     let config = fig10_instance();
     let output = config.output();
-    let report = ReconfigurationDriver::new(config).with_frames().run_des();
+    let report = ReconfigurationDriver::new(config).run_des();
     assert!(report.completed);
     for record in &report.move_log {
         for &(_, from, _) in &record.moves {

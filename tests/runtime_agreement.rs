@@ -77,18 +77,30 @@ fn zero_latency_executions_terminate() {
 fn termination_policies_agree_when_the_column_ends_at_the_output() {
     // On the column family the last block to move lands on O exactly when
     // the path completes, so both termination policies give the same final
-    // occupancy.
-    for termination in [Termination::OutputReached, Termination::PathComplete] {
-        let algo = smart_surface::core::election::AlgorithmConfig {
-            termination,
-            tie_break: TieBreak::LowestId,
-            ..Default::default()
-        };
-        let report = ReconfigurationDriver::new(column_instance(10, 0))
-            .with_algorithm(algo)
-            .run_des();
-        assert!(report.completed, "{termination:?}: {report}");
-        assert!(report.path_complete, "{termination:?}");
+    // occupancy.  On every family a run reports `completed` only when its
+    // policy's goal holds at the end, and a family whose elections run out
+    // of candidates before the output is reached ends `stalled` under both.
+    let stalls = [Family::SparseWide, Family::Minimal, Family::HighAspect];
+    for family in Family::ALL {
+        for termination in [Termination::OutputReached, Termination::PathComplete] {
+            let algo = AlgorithmConfig {
+                termination,
+                tie_break: TieBreak::LowestId,
+                ..Default::default()
+            };
+            let report = ReconfigurationDriver::new(family.build(8, 1))
+                .with_algorithm(algo)
+                .run_des();
+            let what = format!("{} {termination:?}: {report}", family.name());
+            assert_eq!(report.stalled, stalls.contains(&family), "{what}");
+            assert_eq!(report.completed, !report.stalled, "{what}");
+            let goal = match termination {
+                Termination::OutputReached => report.output_occupied,
+                Termination::PathComplete => report.path_complete,
+            };
+            assert!(!report.completed || goal, "{what}");
+            assert!(family != Family::Column || report.path_complete, "{what}");
+        }
     }
 }
 
@@ -236,7 +248,7 @@ fn runtimes_agree_on_recovery_from_a_root_crash() {
     let spec = FaultSpec::root_crash_rejoin();
     let algo = AlgorithmConfig {
         tie_break: TieBreak::LowestId,
-        rounds: spec.rounds,
+        rounds: spec.rounds(),
         ..Default::default()
     };
     let driver = ReconfigurationDriver::new(column_instance(8, 0))
